@@ -16,11 +16,13 @@ tier1: build test
 # Sink is mutated from par.Map worker goroutines. The focused -count=1 race
 # pass re-runs the concurrency-critical packages uncached (par's fan-out,
 # obs's shared sink, fault's injection across parallel variant runs, online's
-# loop promoting through the live server under concurrent predictions).
+# loop promoting through the live server under concurrent predictions, and
+# the simulator layers whose per-run continuation pools must stay private to
+# each concurrently simulated run).
 verify: docs-check serve-smoke online-smoke profile-smoke forecast-smoke mitigate-smoke fleet-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow
+	$(GO) test -race -count=1 ./internal/par ./internal/obs ./internal/fault ./internal/ml ./internal/serve ./internal/online ./internal/mitigate ./internal/fleet ./internal/shadow ./internal/sim ./internal/netsim ./internal/lustre ./internal/workload ./internal/core
 
 bench:
 	$(GO) test -bench BenchmarkRun -benchmem -count 5 -run '^$$'

@@ -368,8 +368,8 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkEngineStep measures one schedule+dispatch cycle through the event
-// loop — the simulator's smallest unit of work, and the path the event
-// free-list keeps allocation-free.
+// loop — the simulator's smallest unit of work, and the path the value-typed
+// event heap keeps allocation-free.
 func BenchmarkEngineStep(b *testing.B) {
 	eng := sim.NewEngine()
 	fn := func() {}

@@ -123,6 +123,27 @@ func TestGoldenTraceRepeatedRuns(t *testing.T) {
 	}
 }
 
+// runAllocCeiling is the measured allocation count of one RunE of
+// goldenScenario (1225 on go1.24) plus 5 % headroom. What a run allocates is
+// per-run set-up — the cluster, its obs registrations, the workload streams,
+// the inodes and handles — not per-event work.
+const runAllocCeiling = 1286
+
+// TestRunEAllocCeiling guards the pooled hot path: a closure or slice that
+// starts allocating per event or per RPC again pushes a run far past the
+// ceiling.
+func TestRunEAllocCeiling(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := quant.RunE(goldenScenario())
+		if err != nil || !res.Finished {
+			t.Fatalf("golden run failed: %v", err)
+		}
+	})
+	if allocs > runAllocCeiling {
+		t.Fatalf("RunE(goldenScenario) made %.0f allocations, ceiling %d", allocs, runAllocCeiling)
+	}
+}
+
 // weightsFingerprint hashes every parameter's float64 bit pattern in order.
 func weightsFingerprint(m ml.Model) string {
 	h := sha256.New()

@@ -92,11 +92,11 @@ type Queue struct {
 	pending    []*ioReq
 	dispatched *ioReq
 	counters   Counters
-	// free recycles completed ioReq structs; devReq/devDone are the single
+	// reqs recycles completed ioReq structs; devReq/devDone are the single
 	// reused device-level request and its prebound completion, so the
 	// steady-state submit->dispatch->complete cycle allocates nothing beyond
 	// the caller's done closure.
-	free    []*ioReq
+	reqs    sim.Pool[ioReq]
 	devReq  disk.Request
 	devDone func()
 	// frozen suspends dispatch until the given time (a fault-injected
@@ -228,13 +228,7 @@ func (q *Queue) Submit(op disk.Op, sector, sectors int64, done func()) {
 		}
 	}
 
-	var req *ioReq
-	if n := len(q.free); n > 0 {
-		req = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		req = &ioReq{}
-	}
+	req, _ := q.reqs.Get()
 	req.op, req.sector, req.sectors = op, sector, sectors
 	req.arrival, req.merges = q.eng.Now(), 0
 	req.dones = append(req.dones[:0], done)
@@ -369,6 +363,6 @@ func (q *Queue) complete(req *ioReq) {
 		req.dones[i] = nil
 	}
 	req.dones = req.dones[:0]
-	q.free = append(q.free, req)
+	q.reqs.Put(req)
 	q.maybeDispatch()
 }

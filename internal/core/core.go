@@ -396,6 +396,9 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 		},
 	}
 	target.Start()
+	// The target does not loop, so it emits exactly one record per I/O op;
+	// none can complete inside Start.
+	res.Records = make([]workload.Record, 0, target.IOOps())
 
 	// Run to the window boundary after the target completes, so the last
 	// window's server metrics are finalized.

@@ -54,6 +54,8 @@ type raChunk struct {
 	done    bool
 	end     int64
 	waiters []func()
+	// inline backs waiters for the usual one or two waiting reads.
+	inline [2]func()
 }
 
 func newClient(fs *FS, node string) *Client {
@@ -93,54 +95,86 @@ func (c *Client) instrument(s *obs.Sink) {
 	c.cDegraded = s.Counter("client", c.Node, "degraded_ops")
 }
 
+// metaCall is one metadata RPC in flight: client slot, request message,
+// MDS service (mds.go), reply. Its steps are bound once when the pool first
+// allocates it, so a metadata op allocates nothing in steady state.
+type metaCall struct {
+	c           *Client
+	op          MetaOp
+	path        string
+	stripeCount int
+	slot        *sim.Resource
+	ino         *Inode
+	arrival     sim.Time // at the MDS, for the op-latency histogram
+	// Exactly one of done and opened is set: opened receives a fresh
+	// Handle (Create, Open), done is everything else.
+	done   func()
+	opened func(*Handle)
+
+	onSlot, onRequest, onThread, onServed, onIO, onReply func()
+}
+
 // metaRPC performs a metadata round trip to the MDS.
-func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, done func(*Inode)) {
-	slot := c.slots[c.fs.MDTIndex()]
-	slot.Acquire(func() {
-		c.fs.Net.Transfer(c.Node, c.fs.mds.Node, c.fs.cfg.ReqMsgBytes, func() {
-			c.fs.mds.handle(op, path, stripeCount, func(ino *Inode) {
-				c.fs.Net.Transfer(c.fs.mds.Node, c.Node, c.fs.cfg.ReqMsgBytes, func() {
-					slot.Release()
-					done(ino)
-				})
-			})
-		})
-	})
+func (c *Client) metaRPC(op MetaOp, path string, stripeCount int, done func(), opened func(*Handle)) {
+	m, fresh := c.fs.pools.meta.Get()
+	if fresh {
+		m.onSlot, m.onRequest, m.onThread = m.sendRequest, m.arrive, m.serve
+		m.onServed, m.onIO, m.onReply = m.execute, m.finish, m.reply
+	}
+	m.c, m.op, m.path, m.stripeCount = c, op, path, stripeCount
+	m.slot = c.slots[c.fs.MDTIndex()]
+	m.done, m.opened = done, opened
+	m.slot.Acquire(m.onSlot)
+}
+
+func (m *metaCall) sendRequest() {
+	fs := m.c.fs
+	fs.Net.Transfer(m.c.Node, fs.mds.Node, fs.cfg.ReqMsgBytes, m.onRequest)
+}
+
+// reply runs when the reply message lands on the client: it frees the RPC
+// slot, recycles the call and completes the op.
+func (m *metaCall) reply() {
+	c, slot, ino, done, opened := m.c, m.slot, m.ino, m.done, m.opened
+	m.ino, m.done, m.opened = nil, nil, nil
+	c.fs.pools.meta.Put(m)
+	slot.Release()
+	if opened != nil {
+		opened(&Handle{c: c, Ino: ino})
+		return
+	}
+	done()
 }
 
 // Create makes (or truncate-opens) a file with the given stripe count
 // (0 = file-system default) and returns an open handle.
 func (c *Client) Create(path string, stripeCount int, done func(*Handle)) {
-	c.metaRPC(MetaCreate, path, stripeCount, func(ino *Inode) {
-		done(&Handle{c: c, Ino: ino})
-	})
+	c.metaRPC(MetaCreate, path, stripeCount, nil, done)
 }
 
 // Open opens an existing file.
 func (c *Client) Open(path string, done func(*Handle)) {
-	c.metaRPC(MetaOpen, path, 0, func(ino *Inode) {
-		done(&Handle{c: c, Ino: ino})
-	})
+	c.metaRPC(MetaOpen, path, 0, nil, done)
 }
 
 // Stat fetches attributes of an existing path.
 func (c *Client) Stat(path string, done func()) {
-	c.metaRPC(MetaStat, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaStat, path, 0, done, nil)
 }
 
 // Close closes a handle.
 func (c *Client) Close(h *Handle, done func()) {
-	c.metaRPC(MetaClose, h.Ino.Path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaClose, h.Ino.Path, 0, done, nil)
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(path string, done func()) {
-	c.metaRPC(MetaUnlink, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaUnlink, path, 0, done, nil)
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string, done func()) {
-	c.metaRPC(MetaMkdir, path, 0, func(*Inode) { done() })
+	c.metaRPC(MetaMkdir, path, 0, done, nil)
 }
 
 // chunk is one per-OST piece of a striped byte range.
@@ -150,181 +184,313 @@ type chunk struct {
 	length int64
 }
 
-// chunks splits a file byte range into per-OST object ranges (RAID0).
-func (h *Handle) chunks(off, length int64) []chunk {
-	ino := h.Ino
+// chunkIter walks a file byte range as per-OST object ranges (RAID0), one
+// stripe unit at a time, without materialising them.
+type chunkIter struct {
+	ino      *Inode
+	cur, end int64
+}
+
+// chunks returns an iterator over the per-OST pieces of a byte range.
+func (h *Handle) chunks(off, length int64) chunkIter {
+	checkRange(h.Ino, off, length)
+	return chunkIter{ino: h.Ino, cur: off, end: off + length}
+}
+
+func checkRange(ino *Inode, off, length int64) {
 	if ino.Dir {
 		panic("lustre: data op on directory " + ino.Path)
 	}
 	if off < 0 || length <= 0 {
 		panic(fmt.Sprintf("lustre: bad range off=%d len=%d", off, length))
 	}
-	ss := ino.StripeSize
-	n := int64(len(ino.OSTs))
-	var out []chunk
-	cur := off
-	end := off + length
-	for cur < end {
-		unit := cur / ss        // global stripe unit index
-		within := cur - unit*ss // offset inside the unit
-		take := ss - within
-		if cur+take > end {
-			take = end - cur
-		}
-		stripe := unit % n
-		objUnit := unit / n // unit index within the object
-		out = append(out, chunk{
-			ost:    ino.OSTs[stripe],
-			objOff: objUnit*ss + within,
-			length: take,
-		})
-		cur += take
-	}
-	return out
 }
 
-// Targets returns the distinct OST ids a byte range touches, in stripe order.
-func (h *Handle) Targets(off, length int64) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, ch := range h.chunks(off, length) {
-		if !seen[ch.ost] {
-			seen[ch.ost] = true
-			out = append(out, ch.ost)
-		}
+// next returns the next piece, or false when the range is exhausted.
+func (it *chunkIter) next() (chunk, bool) {
+	if it.cur >= it.end {
+		return chunk{}, false
 	}
-	return out
+	ss := it.ino.StripeSize
+	n := int64(len(it.ino.OSTs))
+	unit := it.cur / ss        // global stripe unit index
+	within := it.cur - unit*ss // offset inside the unit
+	take := ss - within
+	if it.cur+take > it.end {
+		take = it.end - it.cur
+	}
+	it.cur += take
+	objUnit := unit / n // unit index within the object
+	return chunk{
+		ost:    it.ino.OSTs[unit%n],
+		objOff: objUnit*ss + within,
+		length: take,
+	}, true
+}
+
+// Targets returns the distinct OST ids a byte range touches, in stripe
+// order. Consecutive stripe units land on consecutive layout entries, so the
+// answer is a window of the layout read cyclically; it is returned as a
+// slice of the inode's doubled layout and allocates nothing. The slice is
+// shared: callers must not modify it.
+func (h *Handle) Targets(off, length int64) []int {
+	ino := h.Ino
+	checkRange(ino, off, length)
+	n := len(ino.OSTs)
+	if len(ino.ostRing) != 2*n {
+		ino.ostRing = append(append(make([]int, 0, 2*n), ino.OSTs...), ino.OSTs...)
+	}
+	first, last := off/ino.StripeSize, (off+length-1)/ino.StripeSize
+	count := n
+	if units := last - first + 1; units < int64(n) {
+		count = int(units)
+	}
+	s0 := int(first % int64(n))
+	return ino.ostRing[s0 : s0+count : s0+count]
+}
+
+// dataCall is the fan-in of one striped data op: it counts the op's bulk
+// RPCs down and completes the op when the last one lands.
+type dataCall struct {
+	c         *Client
+	h         *Handle
+	off       int64
+	length    int64
+	write     bool
+	remaining int
+	done      func()
+	// ra, when set, is the readahead chunk this op prefetches; completing
+	// the op marks it fetched and wakes its waiters instead of calling done.
+	ra *raChunk
+
+	onPiece func()
 }
 
 // dataOp runs all chunks of a striped range concurrently, bounded by
-// per-target RPC slots, and fires done when the last chunk completes.
-func (c *Client) dataOp(h *Handle, off, length int64, write bool, done func()) {
-	chunks := h.chunks(off, length)
-	remaining := len(chunks)
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			if write && off+length > h.Ino.Size {
-				h.Ino.Size = off + length
-			}
-			done()
-		}
+// per-target RPC slots, and completes when the last chunk completes: by
+// calling done, or for a prefetch (ra set) by settling the readahead chunk.
+func (c *Client) dataOp(h *Handle, off, length int64, write bool, done func(), ra *raChunk) {
+	d, fresh := c.fs.pools.data.Get()
+	if fresh {
+		d.onPiece = d.piece
 	}
-	for _, ch := range chunks {
-		ch := ch
+	d.c, d.h, d.off, d.length, d.write, d.done, d.ra = c, h, off, length, write, done, ra
+	// Hold one count across issuing so the op cannot complete mid-loop.
+	d.remaining = 1
+	maxRPC := c.fs.cfg.MaxRPCBytes
+	for it := h.chunks(off, length); ; {
+		ch, ok := it.next()
+		if !ok {
+			break
+		}
 		// Split chunks larger than the RPC size cap.
 		for sent := int64(0); sent < ch.length; {
 			take := ch.length - sent
-			if take > c.fs.cfg.MaxRPCBytes {
-				take = c.fs.cfg.MaxRPCBytes
+			if take > maxRPC {
+				take = maxRPC
 			}
-			if sent > 0 {
-				remaining++
-			}
-			c.rpc(h.Ino, ch.ost, ch.objOff+sent, take, write, complete)
+			d.remaining++
+			c.rpc(h.Ino, ch.ost, ch.objOff+sent, take, write, d.onPiece)
 			sent += take
 		}
 	}
+	d.piece()
 }
 
-// rpc performs one bulk RPC to an OST.
-func (c *Client) rpc(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
-	if c.bucket != nil {
-		c.bucket.acquire(length, func() {
-			c.rpcUnthrottled(ino, ostID, objOff, length, write, done)
-		})
+func (d *dataCall) piece() {
+	d.remaining--
+	if d.remaining > 0 {
 		return
 	}
-	c.rpcUnthrottled(ino, ostID, objOff, length, write, done)
+	h, end, write, done, ra := d.h, d.off+d.length, d.write, d.done, d.ra
+	d.h, d.done, d.ra = nil, nil, nil
+	d.c.fs.pools.data.Put(d)
+	if write && end > h.Ino.Size {
+		h.Ino.Size = end
+	}
+	if ra != nil {
+		ra.fetched()
+		return
+	}
+	done()
 }
 
-// rpcUnthrottled resolves one bulk RPC, with timeout/retry when the file
-// system arms RPCTimeout. Each attempt is a full send (sendRPC); an attempt
+// rpc performs one bulk RPC to an OST, waiting for the client's token
+// bucket first when a rate limit is set.
+func (c *Client) rpc(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
+	var start func()
+	if c.fs.cfg.RPCTimeout > 0 {
+		start = c.newAttempt(ino, ostID, objOff, length, write, done, 0).onStart
+	} else {
+		start = c.newBulk(ino, ostID, objOff, length, write, done).onSend
+	}
+	if c.bucket != nil {
+		c.bucket.acquire(length, start)
+		return
+	}
+	start()
+}
+
+// rpcAttempt is one send of a bulk RPC when the file system arms
+// RPCTimeout. Each attempt is a full send (a bulkRPC); an attempt
 // outstanding past the timeout is abandoned — its eventual completion is
 // ignored, like a reply to a resent XID — and the RPC is resent after a
 // bounded exponential backoff with deterministic seed-derived jitter. The
 // final attempt carries no timeout, so the op always completes: degraded
 // mode slows clients down, it never wedges them.
-func (c *Client) rpcUnthrottled(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
-	if c.fs.cfg.RPCTimeout <= 0 {
-		c.sendRPC(ino, ostID, objOff, length, write, done)
-		return
-	}
-	c.sendAttempt(ino, ostID, objOff, length, write, done, 0)
+//
+// An attempt is referenced by its send's reply and, when armed, by its
+// timer (then its backoff); it returns to the pool when both have fired.
+type rpcAttempt struct {
+	c       *Client
+	ino     *Inode
+	ostID   int
+	objOff  int64
+	length  int64
+	write   bool
+	done    func()
+	attempt int
+	settled bool
+	refs    int
+
+	onStart, onReply, onTimeout, onRetry func()
 }
 
-func (c *Client) sendAttempt(ino *Inode, ostID int, objOff, length int64, write bool, done func(), attempt int) {
-	fs := c.fs
-	settled := false
-	c.sendRPC(ino, ostID, objOff, length, write, func() {
-		if settled {
-			return // abandoned attempt: a later resend owns this op now
-		}
-		settled = true
-		if attempt > 0 {
-			c.degradedOps++
-			c.cDegraded.Inc()
-		}
-		done()
-	})
-	if attempt >= fs.cfg.RPCRetryLimit {
+func (c *Client) newAttempt(ino *Inode, ostID int, objOff, length int64, write bool, done func(), attempt int) *rpcAttempt {
+	a, fresh := c.fs.pools.attempt.Get()
+	if fresh {
+		a.onStart, a.onReply, a.onTimeout, a.onRetry = a.start, a.reply, a.timeout, a.retry
+	}
+	a.c, a.ino, a.ostID, a.objOff, a.length, a.write = c, ino, ostID, objOff, length, write
+	a.done, a.attempt, a.settled = done, attempt, false
+	return a
+}
+
+func (a *rpcAttempt) start() {
+	fs := a.c.fs
+	a.refs = 1
+	a.c.newBulk(a.ino, a.ostID, a.objOff, a.length, a.write, a.onReply).send()
+	if a.attempt >= fs.cfg.RPCRetryLimit {
 		return // last attempt rides to completion
 	}
-	fs.Eng.Schedule(fs.cfg.RPCTimeout, func() {
-		if settled {
-			return
-		}
-		settled = true
-		c.timeouts++
-		c.cTimeouts.Inc()
-		backoff := fs.cfg.RPCBackoffBase << uint(attempt)
-		backoff += c.rng.Int63n(backoff) // deterministic jitter in [0, backoff)
-		fs.Eng.Schedule(backoff, func() {
-			c.retries++
-			c.cRetries.Inc()
-			c.sendAttempt(ino, ostID, objOff, length, write, done, attempt+1)
-		})
-	})
+	a.refs++
+	fs.Eng.Schedule(fs.cfg.RPCTimeout, a.onTimeout)
 }
 
-// sendRPC performs one attempt of a bulk RPC: slot, network, OSS thread,
-// OST data path, reply.
-func (c *Client) sendRPC(ino *Inode, ostID int, objOff, length int64, write bool, done func()) {
-	fs := c.fs
-	ost := fs.osts[ostID]
-	slot := c.slots[ostID]
-	hdr := fs.cfg.ReqMsgBytes
-	slot.Acquire(func() {
-		finish := func() {
-			slot.Release()
-			done()
-		}
-		if write {
-			// Bulk data travels with the request; reply is a header.
-			fs.Net.Transfer(c.Node, ost.OSS.Node, hdr+length, func() {
-				ost.OSS.Threads.Acquire(func() {
-					fs.Eng.Schedule(fs.cfg.OSSOpCPU, func() {
-						ost.OSS.Threads.Release()
-						ost.write(ino.ObjID, objOff, length, func() {
-							fs.Net.Transfer(ost.OSS.Node, c.Node, hdr, finish)
-						})
-					})
-				})
-			})
-			return
-		}
-		// Read: small request, bulk reply after the disk fetch.
-		fs.Net.Transfer(c.Node, ost.OSS.Node, hdr, func() {
-			ost.OSS.Threads.Acquire(func() {
-				fs.Eng.Schedule(fs.cfg.OSSOpCPU, func() {
-					ost.read(ino.ObjID, objOff, length, func() {
-						ost.OSS.Threads.Release()
-						fs.Net.Transfer(ost.OSS.Node, c.Node, hdr+length, finish)
-					})
-				})
-			})
-		})
-	})
+func (a *rpcAttempt) reply() {
+	if a.settled {
+		a.unref() // abandoned attempt: a later resend owns this op now
+		return
+	}
+	a.settled = true
+	if a.attempt > 0 {
+		a.c.degradedOps++
+		a.c.cDegraded.Inc()
+	}
+	done := a.done
+	a.unref()
+	done()
+}
+
+func (a *rpcAttempt) timeout() {
+	if a.settled {
+		a.unref()
+		return
+	}
+	a.settled = true
+	c, fs := a.c, a.c.fs
+	c.timeouts++
+	c.cTimeouts.Inc()
+	backoff := fs.cfg.RPCBackoffBase << uint(a.attempt)
+	backoff += c.rng.Int63n(backoff)    // deterministic jitter in [0, backoff)
+	fs.Eng.Schedule(backoff, a.onRetry) // the timer's reference rides on
+}
+
+func (a *rpcAttempt) retry() {
+	c := a.c
+	c.retries++
+	c.cRetries.Inc()
+	next := c.newAttempt(a.ino, a.ostID, a.objOff, a.length, a.write, a.done, a.attempt+1)
+	a.unref()
+	next.start()
+}
+
+func (a *rpcAttempt) unref() {
+	a.refs--
+	if a.refs > 0 {
+		return
+	}
+	a.ino, a.done = nil, nil
+	a.c.fs.pools.attempt.Put(a)
+}
+
+// bulkRPC is one attempt of a bulk RPC: client slot, request (carrying the
+// data for a write), OSS thread and CPU, OST data path, reply (carrying the
+// data for a read).
+type bulkRPC struct {
+	c      *Client
+	ino    *Inode
+	ost    *OST
+	slot   *sim.Resource
+	objOff int64
+	length int64
+	write  bool
+	done   func()
+
+	onSend, onSlot, onRequest, onThread, onServed, onStored, onReply func()
+}
+
+func (c *Client) newBulk(ino *Inode, ostID int, objOff, length int64, write bool, done func()) *bulkRPC {
+	b, fresh := c.fs.pools.bulk.Get()
+	if fresh {
+		b.onSend, b.onSlot, b.onRequest, b.onThread = b.send, b.request, b.arrive, b.serve
+		b.onServed, b.onStored, b.onReply = b.served, b.stored, b.reply
+	}
+	b.c, b.ino, b.ost, b.slot = c, ino, c.fs.osts[ostID], c.slots[ostID]
+	b.objOff, b.length, b.write, b.done = objOff, length, write, done
+	return b
+}
+
+func (b *bulkRPC) send() { b.slot.Acquire(b.onSlot) }
+
+func (b *bulkRPC) request() {
+	bytes := b.c.fs.cfg.ReqMsgBytes
+	if b.write {
+		bytes += b.length // bulk data travels with a write request
+	}
+	b.c.fs.Net.Transfer(b.c.Node, b.ost.OSS.Node, bytes, b.onRequest)
+}
+
+func (b *bulkRPC) arrive() { b.ost.OSS.Threads.Acquire(b.onThread) }
+
+func (b *bulkRPC) serve() { b.c.fs.Eng.Schedule(b.c.fs.cfg.OSSOpCPU, b.onServed) }
+
+func (b *bulkRPC) served() {
+	if b.write {
+		b.ost.OSS.Threads.Release()
+		b.ost.write(b.ino.ObjID, b.objOff, b.length, b.onStored)
+		return
+	}
+	b.ost.read(b.ino.ObjID, b.objOff, b.length, b.onStored)
+}
+
+func (b *bulkRPC) stored() {
+	bytes := b.c.fs.cfg.ReqMsgBytes
+	if !b.write {
+		// A read holds its service thread through the disk fetch and
+		// returns the data with the reply.
+		b.ost.OSS.Threads.Release()
+		bytes += b.length
+	}
+	b.c.fs.Net.Transfer(b.ost.OSS.Node, b.c.Node, bytes, b.onReply)
+}
+
+func (b *bulkRPC) reply() {
+	slot, done := b.slot, b.done
+	b.ino, b.done = nil, nil
+	b.c.fs.pools.bulk.Put(b)
+	slot.Release()
+	done()
 }
 
 // Write stores length bytes at off, completing when the data is accepted by
@@ -332,7 +498,35 @@ func (c *Client) sendRPC(ino *Inode, ostID int, objOff, length int64, write bool
 // through a handle drops its readahead cache.
 func (c *Client) Write(h *Handle, off, length int64, done func()) {
 	h.ra = nil
-	c.dataOp(h, off, length, true, done)
+	c.dataOp(h, off, length, true, done, nil)
+}
+
+// readCall is one Client.Read in flight: it waits for the readahead chunks
+// covering the range (or for its own data op), then trims the window and
+// completes.
+type readCall struct {
+	c       *Client
+	h       *Handle
+	end     int64 // off + length
+	pending int   // readahead chunks still being fetched
+	done    func()
+
+	onChunk, onFinish func()
+}
+
+func (r *readCall) chunk() {
+	r.pending--
+	if r.pending == 0 {
+		r.finish()
+	}
+}
+
+func (r *readCall) finish() {
+	h, end, done := r.h, r.end, r.done
+	r.h, r.done = nil, nil
+	r.c.fs.pools.read.Put(r)
+	h.trimRA(end)
+	done()
 }
 
 // Read fetches length bytes at off. Sequential streams (each read starting
@@ -343,7 +537,7 @@ func (c *Client) Write(h *Handle, off, length int64, done func()) {
 func (c *Client) Read(h *Handle, off, length int64, done func()) {
 	raChunks := int64(c.fs.cfg.ReadAheadChunks)
 	if raChunks == 0 {
-		c.dataOp(h, off, length, false, done)
+		c.dataOp(h, off, length, false, done, nil)
 		return
 	}
 	if off == h.lastReadEnd {
@@ -372,34 +566,28 @@ func (c *Client) Read(h *Handle, off, length int64, done func()) {
 			}
 		}
 	}
-	finish := func() {
-		h.trimRA(off + length)
-		done()
+	r, fresh := c.fs.pools.read.Get()
+	if fresh {
+		r.onChunk, r.onFinish = r.chunk, r.finish
 	}
+	r.c, r.h, r.end, r.done = c, h, off+length, done
 	if covered {
-		pending := 0
-		onChunk := func() {
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		}
 		for chunk := firstChunk; chunk <= lastChunk; chunk += cs {
 			if e := h.ra[chunk]; !e.done {
-				pending++
-				e.waiters = append(e.waiters, onChunk)
+				r.pending++
+				e.waiters = append(e.waiters, r.onChunk)
 			}
 		}
-		if pending == 0 {
+		if r.pending == 0 {
 			c.cRAHit.Inc()
 			// Entirely cache-resident: page-cache copy cost only.
-			c.fs.Eng.Schedule(c.fs.cfg.CacheHitTime, finish)
+			c.fs.Eng.Schedule(c.fs.cfg.CacheHitTime, r.onFinish)
 		} else {
 			c.cRAWait.Inc()
 		}
 	} else {
 		c.cRAMiss.Inc()
-		c.dataOp(h, off, length, false, finish)
+		c.dataOp(h, off, length, false, r.onFinish, nil)
 	}
 	if sequential {
 		h.extendRA(lastChunk+cs, raChunks)
@@ -432,16 +620,21 @@ func (h *Handle) extendRA(from, n int64) {
 			length = h.Ino.Size - chunk
 		}
 		e := &raChunk{end: chunk + length}
+		e.waiters = e.inline[:0]
 		h.ra[chunk] = e
 		h.c.cRAPrefetch.Inc()
-		h.c.dataOp(h, chunk, length, false, func() {
-			e.done = true
-			for _, w := range e.waiters {
-				w()
-			}
-			e.waiters = nil
-		})
+		h.c.dataOp(h, chunk, length, false, nil, e)
 	}
+}
+
+// fetched marks a prefetched chunk as landed and wakes the reads waiting
+// on it.
+func (e *raChunk) fetched() {
+	e.done = true
+	for _, w := range e.waiters {
+		w()
+	}
+	e.waiters = nil
 }
 
 // trimRA drops fully consumed chunks behind the stream position.

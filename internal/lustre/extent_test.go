@@ -13,7 +13,7 @@ func newTestOST(t *testing.T) (*sim.Engine, *OST) {
 	cfg := &Config{}
 	cfg.applyDefaults()
 	oss := &OSS{Node: "oss", Threads: sim.NewResource(eng, 4)}
-	return eng, newOST(eng, cfg, 0, oss, 7)
+	return eng, newOST(eng, cfg, &callPools{}, 0, oss, 7)
 }
 
 // cloneRuns copies mapRange's scratch-backed result so a test can hold it

@@ -19,6 +19,36 @@ type FS struct {
 	osss    []*OSS
 	osts    []*OST
 	clients map[string]*Client
+	pools   callPools
+}
+
+// callPools recycles the continuation structs of calls in flight. Each step
+// of a call is a method bound once, when its struct is first allocated, so
+// the steady-state RPC path allocates nothing. The pools belong to one FS:
+// concurrent runs never share them.
+type callPools struct {
+	meta    sim.Pool[metaCall]
+	data    sim.Pool[dataCall]
+	read    sim.Pool[readCall]
+	attempt sim.Pool[rpcAttempt]
+	bulk    sim.Pool[bulkRPC]
+	ostRead sim.Pool[ostRead]
+	flush   sim.Pool[flushCall]
+	// bucketTimer serves every client's token bucket.
+	bucketTimer sim.Pool[bucketTimer]
+}
+
+// PoolStats reports every continuation pool's counts by name. Once the
+// engine has drained, each pool's free count equals its allocated count:
+// nothing leaked and nothing was released twice.
+func (fs *FS) PoolStats() map[string]sim.PoolStats {
+	p := &fs.pools
+	return map[string]sim.PoolStats{
+		"meta": p.meta.Stats(), "data": p.data.Stats(), "read": p.read.Stats(),
+		"attempt": p.attempt.Stats(), "bulk": p.bulk.Stats(),
+		"ost-read": p.ostRead.Stats(), "flush": p.flush.Stats(),
+		"bucket-timer": p.bucketTimer.Stats(),
+	}
 }
 
 // New builds the file system over the given network, registering every node
@@ -47,7 +77,7 @@ func New(eng *sim.Engine, net *netsim.Network, topo Topology, cfg Config) *FS {
 		ensure(spec.Node)
 		oss := &OSS{Node: spec.Node, Threads: sim.NewResource(eng, cfg.OSSThreads)}
 		for i := 0; i < spec.OSTs; i++ {
-			ost := newOST(eng, &fs.cfg, ostID, oss, rng.Derive(int64(ostID)).Int63n(1<<62))
+			ost := newOST(eng, &fs.cfg, &fs.pools, ostID, oss, rng.Derive(int64(ostID)).Int63n(1<<62))
 			oss.OSTs = append(oss.OSTs, ost)
 			fs.osts = append(fs.osts, ost)
 			ostID++
@@ -145,7 +175,11 @@ func (fs *FS) Populate(path string, size int64, stripeCount int) *Inode {
 	}
 	if size > 0 {
 		h := &Handle{Ino: ino}
-		for _, ch := range h.chunks(0, size) {
+		for it := h.chunks(0, size); ; {
+			ch, ok := it.next()
+			if !ok {
+				break
+			}
 			fs.osts[ch.ost].populate(ino.ObjID, ch.objOff, ch.length)
 		}
 	}

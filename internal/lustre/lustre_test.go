@@ -1,6 +1,7 @@
 package lustre
 
 import (
+	"fmt"
 	"testing"
 
 	"quanterference/internal/netsim"
@@ -87,14 +88,58 @@ func TestChunkOffsetsRAID0(t *testing.T) {
 	ino := fs.Populate("/r0", 8<<20, 2)
 	h := &Handle{Ino: ino}
 	// Units 0,2,4.. are on OSTs[0] at object offsets 0,1MiB,2MiB...
-	chs := h.chunks(2<<20, 1<<20) // unit 2 -> stripe 0, object unit 1
+	chs := collectChunks(h, 2<<20, 1<<20) // unit 2 -> stripe 0, object unit 1
 	if len(chs) != 1 || chs[0].ost != ino.OSTs[0] || chs[0].objOff != 1<<20 {
 		t.Fatalf("chunks %+v (osts %v)", chs, ino.OSTs)
 	}
 	// Unaligned range crossing a boundary splits.
-	chs = h.chunks(1<<20-512, 1024)
+	chs = collectChunks(h, 1<<20-512, 1024)
 	if len(chs) != 2 || chs[0].length != 512 || chs[1].length != 512 {
 		t.Fatalf("boundary chunks %+v", chs)
+	}
+}
+
+// collectChunks drains the chunk iterator of a range into a slice.
+func collectChunks(h *Handle, off, length int64) []chunk {
+	var out []chunk
+	for it := h.chunks(off, length); ; {
+		ch, ok := it.next()
+		if !ok {
+			return out
+		}
+		out = append(out, ch)
+	}
+}
+
+// TestTargetsMatchesChunkWalk checks the allocation-free Targets against
+// the definition: the distinct OSTs of the range's chunks in first-touch
+// order, for every stripe count and many unaligned ranges.
+func TestTargetsMatchesChunkWalk(t *testing.T) {
+	_, fs := newFS(Config{})
+	rng := sim.NewRNG(11)
+	for sc := 1; sc <= fs.NumOSTs(); sc++ {
+		ino := fs.Populate(fmt.Sprintf("/tg%d", sc), 64<<20, sc)
+		h := &Handle{Ino: ino}
+		for i := 0; i < 200; i++ {
+			off := rng.Int63n(48 << 20)
+			length := 1 + rng.Int63n(int64(1+rng.Intn(12))<<20)
+			var want []int
+			seen := map[int]bool{}
+			for _, ch := range collectChunks(h, off, length) {
+				if !seen[ch.ost] {
+					seen[ch.ost] = true
+					want = append(want, ch.ost)
+				}
+			}
+			if got := h.Targets(off, length); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("stripes %d range [%d,+%d): Targets %v, chunk walk %v", sc, off, length, got, want)
+			}
+		}
+	}
+	// Hand-built inodes (no doubled layout) take the same path.
+	h := &Handle{Ino: &Inode{Path: "/hand", StripeSize: 1 << 20, OSTs: []int{4, 1, 3}}}
+	if got := h.Targets(2<<20, 3<<20); fmt.Sprint(got) != "[3 4 1]" {
+		t.Fatalf("hand-built inode Targets %v, want [3 4 1]", got)
 	}
 }
 

@@ -37,6 +37,9 @@ type Inode struct {
 	ObjID      uint64 // per-OST object key
 
 	inodeSector int64
+	// ostRing is OSTs twice over; OSTs is its first half. Handle.Targets
+	// returns windows of it.
+	ostRing []int
 }
 
 // MDSStats are cumulative metadata-server counters.
@@ -209,71 +212,89 @@ func (m *MDS) allocInode(path string, dir bool, stripeCount int) *Inode {
 			(m.nextInode*m.cfg.InodeReadSectors)%m.tableLen,
 	}
 	if !dir {
-		ino.OSTs = make([]int, stripeCount)
-		for i := 0; i < stripeCount; i++ {
-			ino.OSTs[i] = (m.nextOST + i) % m.nOSTs
+		ino.ostRing = make([]int, 2*stripeCount)
+		for i := range ino.ostRing {
+			ino.ostRing[i] = (m.nextOST + i%stripeCount) % m.nOSTs
 		}
+		ino.OSTs = ino.ostRing[:stripeCount:stripeCount]
 		m.nextOST = (m.nextOST + 1) % m.nOSTs
 	}
 	m.namespace[path] = ino
 	return ino
 }
 
-// handle services one metadata RPC after it has arrived at the server.
-// reply receives the resulting inode (nil for unlink).
-func (m *MDS) handle(op MetaOp, path string, stripeCount int, reply func(*Inode)) {
-	arrival := m.eng.Now()
-	m.Threads.Acquire(func() {
-		m.stats.Ops++
-		finish := func(ino *Inode) {
-			latency := m.eng.Now() - arrival
-			m.hOpNS[op].Observe(float64(latency))
-			m.sink.Span("mds", "mdt", op.String(), arrival, latency)
-			m.Threads.Release()
-			reply(ino)
+// arrive runs when a metadata request lands on the MDS: the call queues for
+// a service thread.
+func (mc *metaCall) arrive() {
+	m := mc.c.fs.mds
+	mc.arrival = m.eng.Now()
+	m.Threads.Acquire(mc.onThread)
+}
+
+// serve runs once a service thread is granted: the op's CPU cost.
+func (mc *metaCall) serve() {
+	m := mc.c.fs.mds
+	m.stats.Ops++
+	opCPU := m.cfg.MDSOpCPU
+	if m.cpuFactor > 1 {
+		opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
+	}
+	m.eng.Schedule(opCPU, mc.onServed)
+}
+
+// execute applies the op to the namespace, then finishes directly or after
+// the journal write or inode-table read it needs.
+func (mc *metaCall) execute() {
+	m, path := mc.c.fs.mds, mc.path
+	switch mc.op {
+	case MetaCreate, MetaMkdir:
+		ino, ok := m.namespace[path]
+		if !ok {
+			ino = m.allocInode(path, mc.op == MetaMkdir, mc.stripeCount)
 		}
-		opCPU := m.cfg.MDSOpCPU
-		if m.cpuFactor > 1 {
-			opCPU = sim.Time(float64(opCPU) * m.cpuFactor)
+		m.cacheTouch(path)
+		mc.ino = ino
+		m.journalWrite(mc.onIO)
+	case MetaOpen, MetaStat:
+		ino, ok := m.namespace[path]
+		if !ok {
+			panic(fmt.Sprintf("lustre: %s of missing path %q", mc.op, path))
 		}
-		m.eng.Schedule(opCPU, func() {
-			switch op {
-			case MetaCreate, MetaMkdir:
-				ino, ok := m.namespace[path]
-				if !ok {
-					ino = m.allocInode(path, op == MetaMkdir, stripeCount)
-				}
-				m.cacheTouch(path)
-				m.journalWrite(func() { finish(ino) })
-			case MetaOpen, MetaStat:
-				ino, ok := m.namespace[path]
-				if !ok {
-					panic(fmt.Sprintf("lustre: %s of missing path %q", op, path))
-				}
-				if m.cacheTouch(path) {
-					m.stats.CacheHits++
-					m.cHits.Inc()
-					finish(ino)
-					return
-				}
-				m.inodeRead(ino, func() { finish(ino) })
-			case MetaClose:
-				// Attribute updates are asynchronous in Lustre; CPU only.
-				finish(m.namespace[path])
-			case MetaUnlink:
-				ino, ok := m.namespace[path]
-				if !ok {
-					panic(fmt.Sprintf("lustre: unlink of missing path %q", path))
-				}
-				delete(m.namespace, path)
-				m.cacheDrop(path)
-				if m.destroyObjects != nil && !ino.Dir {
-					m.destroyObjects(ino)
-				}
-				m.journalWrite(func() { finish(nil) })
-			default:
-				panic("lustre: unknown metadata op")
-			}
-		})
-	})
+		mc.ino = ino
+		if m.cacheTouch(path) {
+			m.stats.CacheHits++
+			m.cHits.Inc()
+			mc.finish()
+			return
+		}
+		m.inodeRead(ino, mc.onIO)
+	case MetaClose:
+		// Attribute updates are asynchronous in Lustre; CPU only.
+		mc.ino = m.namespace[path]
+		mc.finish()
+	case MetaUnlink:
+		ino, ok := m.namespace[path]
+		if !ok {
+			panic(fmt.Sprintf("lustre: unlink of missing path %q", path))
+		}
+		delete(m.namespace, path)
+		m.cacheDrop(path)
+		if m.destroyObjects != nil && !ino.Dir {
+			m.destroyObjects(ino)
+		}
+		m.journalWrite(mc.onIO)
+	default:
+		panic("lustre: unknown metadata op")
+	}
+}
+
+// finish records the op's service latency, frees the thread and sends the
+// reply.
+func (mc *metaCall) finish() {
+	m := mc.c.fs.mds
+	latency := m.eng.Now() - mc.arrival
+	m.hOpNS[mc.op].Observe(float64(latency))
+	m.sink.Span("mds", "mdt", mc.op.String(), mc.arrival, latency)
+	m.Threads.Release()
+	mc.c.fs.Net.Transfer(m.Node, mc.c.Node, mc.c.fs.cfg.ReqMsgBytes, mc.onReply)
 }

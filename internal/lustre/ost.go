@@ -34,9 +34,11 @@ type dirtyExtent struct {
 	bytes int64 // original payload bytes accounted against the dirty limit
 }
 
+// writeWaiter is a write throttled for cache space. Its physical runs wait
+// in the OST's waitRuns queue, in the same order as the waiters.
 type writeWaiter struct {
 	bytes    int64
-	runs     []run
+	nRuns    int
 	done     func()
 	enqueued sim.Time
 }
@@ -55,9 +57,10 @@ type OST struct {
 	ID  int
 	OSS *OSS
 
-	eng *sim.Engine
-	cfg *Config
-	q   *blockqueue.Queue
+	eng   *sim.Engine
+	cfg   *Config
+	q     *blockqueue.Queue
+	pools *callPools // the owning FS's
 
 	objects    map[uint64]*object
 	nextSector int64
@@ -66,9 +69,10 @@ type OST struct {
 	runsBuf []run
 
 	dirtyBytes    int64
-	dirtyExtents  []dirtyExtent
+	dirtyExtents  sim.FIFO[dirtyExtent]
 	flushInFlight int
-	waiters       []writeWaiter
+	waiters       sim.FIFO[writeWaiter]
+	waitRuns      sim.FIFO[run]
 	// cachePressure divides the effective write-back limit (1 = nominal),
 	// a fault-injected memory squeeze on the server.
 	cachePressure float64
@@ -76,6 +80,7 @@ type OST struct {
 	// Cumulative stats for monitors and tests.
 	writesAdmitted  uint64
 	writesThrottled uint64
+	bytesAdmitted   int64
 
 	// Observability handles; nil unless instrument attached a sink.
 	sink        *obs.Sink
@@ -88,7 +93,7 @@ type OST struct {
 	hThrottleNS *obs.Histogram
 }
 
-func newOST(eng *sim.Engine, cfg *Config, id int, oss *OSS, seed int64) *OST {
+func newOST(eng *sim.Engine, cfg *Config, pools *callPools, id int, oss *OSS, seed int64) *OST {
 	dc := cfg.Disk
 	dc.Seed = seed
 	d := disk.New(eng, dc)
@@ -101,7 +106,7 @@ func newOST(eng *sim.Engine, cfg *Config, id int, oss *OSS, seed int64) *OST {
 		WriteStarveLimit: 8,
 	})
 	return &OST{
-		ID: id, OSS: oss, eng: eng, cfg: cfg, q: q,
+		ID: id, OSS: oss, eng: eng, cfg: cfg, q: q, pools: pools,
 		objects: make(map[uint64]*object),
 	}
 }
@@ -164,6 +169,10 @@ func (o *OST) writebackLimit() int64 {
 
 // DirtyBytes reports the current write-back cache occupancy.
 func (o *OST) DirtyBytes() int64 { return o.dirtyBytes }
+
+// AdmittedBytes reports the payload bytes admitted into the write-back
+// cache so far.
+func (o *OST) AdmittedBytes() int64 { return o.bytesAdmitted }
 
 // ThrottledWrites reports how many write RPCs had to wait for cache space.
 func (o *OST) ThrottledWrites() uint64 { return o.writesThrottled }
@@ -255,14 +264,16 @@ func sectorRange(off, length int64) (int64, int64) {
 func (o *OST) write(objID uint64, off, length int64, done func()) {
 	startSec, nSec := sectorRange(off, length)
 	runs := o.mapRange(objID, startSec, nSec)
-	if len(o.waiters) > 0 ||
+	if o.waiters.Len() > 0 ||
 		(o.dirtyBytes > 0 && o.dirtyBytes+length > o.writebackLimit()) {
 		o.writesThrottled++
 		o.cThrottled.Inc()
-		// The waiter outlives this event, so it needs its own copy of the
-		// scratch-backed runs.
-		o.waiters = append(o.waiters, writeWaiter{
-			bytes: length, runs: append([]run(nil), runs...),
+		// The waiter outlives this event, so its scratch-backed runs are
+		// copied into the waitRuns queue.
+		for _, r := range runs {
+			o.waitRuns.Push(r)
+		}
+		o.waiters.Push(writeWaiter{bytes: length, nRuns: len(runs),
 			done: done, enqueued: o.eng.Now()})
 		return
 	}
@@ -273,6 +284,7 @@ func (o *OST) write(objID uint64, off, length int64, done func()) {
 func (o *OST) admit(bytes int64, runs []run, done func()) {
 	o.writesAdmitted++
 	o.cAdmitted.Inc()
+	o.bytesAdmitted += bytes
 	o.dirtyBytes += bytes
 	o.gDirtyMax.Max(float64(o.dirtyBytes))
 	per := bytes / int64(len(runs)) // attribute payload evenly across runs
@@ -282,39 +294,61 @@ func (o *OST) admit(bytes int64, runs []run, done func()) {
 		if i == 0 {
 			b += rem
 		}
-		o.dirtyExtents = append(o.dirtyExtents, dirtyExtent{run: r, bytes: b})
+		o.dirtyExtents.Push(dirtyExtent{run: r, bytes: b})
 	}
 	o.scheduleFlush()
 	done()
 }
 
 func (o *OST) scheduleFlush() {
-	for o.flushInFlight < o.cfg.FlushBatch && len(o.dirtyExtents) > 0 {
-		ext := o.dirtyExtents[0]
-		o.dirtyExtents = o.dirtyExtents[1:]
+	for o.flushInFlight < o.cfg.FlushBatch && o.dirtyExtents.Len() > 0 {
+		ext := o.dirtyExtents.Pop()
 		o.flushInFlight++
 		o.cFlushes.Inc()
 		o.cFlushedSec.Add(uint64(ext.length))
-		start := o.eng.Now()
-		o.q.Submit(disk.Write, ext.sector, ext.length, func() {
-			o.flushInFlight--
-			o.dirtyBytes -= ext.bytes
-			o.sink.Span("ost", o.name, "flush", start, o.eng.Now()-start)
-			o.wakeWaiters()
-			o.scheduleFlush()
-		})
+		f, fresh := o.pools.flush.Get()
+		if fresh {
+			f.onDone = f.done
+		}
+		f.o, f.bytes, f.start = o, ext.bytes, o.eng.Now()
+		o.q.Submit(disk.Write, ext.sector, ext.length, f.onDone)
 	}
 }
 
+// flushCall is one write-back flush on its way to the media.
+type flushCall struct {
+	o      *OST
+	bytes  int64
+	start  sim.Time
+	onDone func()
+}
+
+func (f *flushCall) done() {
+	o, bytes, start := f.o, f.bytes, f.start
+	f.o = nil
+	o.pools.flush.Put(f)
+	o.flushInFlight--
+	o.dirtyBytes -= bytes
+	o.sink.Span("ost", o.name, "flush", start, o.eng.Now()-start)
+	o.wakeWaiters()
+	o.scheduleFlush()
+}
+
 func (o *OST) wakeWaiters() {
-	for len(o.waiters) > 0 {
-		w := o.waiters[0]
-		if o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.writebackLimit() {
+	for o.waiters.Len() > 0 {
+		if w := o.waiters.Front(); o.dirtyBytes > 0 && o.dirtyBytes+w.bytes > o.writebackLimit() {
 			return
 		}
-		o.waiters = o.waiters[1:]
+		w := o.waiters.Pop()
 		o.hThrottleNS.Observe(float64(o.eng.Now() - w.enqueued))
-		o.admit(w.bytes, w.runs, w.done)
+		// admit consumes the runs before it completes the write, so the
+		// mapRange scratch can carry them.
+		runs := o.runsBuf[:0]
+		for i := 0; i < w.nRuns; i++ {
+			runs = append(runs, o.waitRuns.Pop())
+		}
+		o.runsBuf = runs
+		o.admit(w.bytes, runs, w.done)
 	}
 }
 
@@ -322,15 +356,33 @@ func (o *OST) wakeWaiters() {
 func (o *OST) read(objID uint64, off, length int64, done func()) {
 	startSec, nSec := sectorRange(off, length)
 	runs := o.mapRange(objID, startSec, nSec)
-	remaining := len(runs)
-	for _, r := range runs {
-		o.q.Submit(disk.Read, r.sector, r.length, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
+	rd, fresh := o.pools.ostRead.Get()
+	if fresh {
+		rd.onRun = rd.run
 	}
+	rd.o, rd.remaining, rd.done = o, len(runs), done
+	for _, r := range runs {
+		o.q.Submit(disk.Read, r.sector, r.length, rd.onRun)
+	}
+}
+
+// ostRead is the fan-in of one OST read over its physical runs.
+type ostRead struct {
+	o         *OST
+	remaining int
+	done      func()
+	onRun     func()
+}
+
+func (rd *ostRead) run() {
+	rd.remaining--
+	if rd.remaining > 0 {
+		return
+	}
+	o, done := rd.o, rd.done
+	rd.o, rd.done = nil, nil
+	o.pools.ostRead.Put(rd)
+	done()
 }
 
 // populate lays out an object's range instantly (no simulated time), for

@@ -11,14 +11,15 @@ import (
 // Acquire never blocks the caller; callbacks run once enough tokens accrue,
 // FIFO. Changing the rate re-schedules pending waiters.
 type tokenBucket struct {
-	eng *sim.Engine
+	eng   *sim.Engine
+	pools *callPools // the owning FS's
 
 	rate     float64 // bytes/sec; <= 0 means unlimited
 	capacity float64 // burst size in bytes
 	tokens   float64
 	last     sim.Time
 
-	waiters []bucketWaiter
+	waiters sim.FIFO[bucketWaiter]
 	timer   uint64 // generation tag for the pending wakeup
 }
 
@@ -27,8 +28,25 @@ type bucketWaiter struct {
 	fn    func()
 }
 
-func newTokenBucket(eng *sim.Engine) *tokenBucket {
-	return &tokenBucket{eng: eng}
+func newTokenBucket(eng *sim.Engine, pools *callPools) *tokenBucket {
+	return &tokenBucket{eng: eng, pools: pools}
+}
+
+// bucketTimer is one armed wakeup, tagged with the generation it was armed
+// under; a superseded one fires as a no-op.
+type bucketTimer struct {
+	b    *tokenBucket
+	gen  uint64
+	fire func()
+}
+
+func (t *bucketTimer) onFire() {
+	b, gen := t.b, t.gen
+	t.b = nil
+	b.pools.bucketTimer.Put(t)
+	if gen == b.timer {
+		b.release()
+	}
 }
 
 // refill accrues tokens up to now.
@@ -68,27 +86,24 @@ func (b *tokenBucket) limited() bool { return b.rate > 0 }
 // acquire runs fn once n bytes of tokens are available (immediately when
 // unlimited).
 func (b *tokenBucket) acquire(n int64, fn func()) {
-	if !b.limited() && len(b.waiters) == 0 {
+	if !b.limited() && b.waiters.Len() == 0 {
 		fn()
 		return
 	}
 	b.refill()
-	if len(b.waiters) == 0 && b.tokens >= b.need(float64(n)) {
+	if b.waiters.Len() == 0 && b.tokens >= b.need(float64(n)) {
 		b.tokens -= float64(n)
 		fn()
 		return
 	}
-	b.waiters = append(b.waiters, bucketWaiter{bytes: float64(n), fn: fn})
+	b.waiters.Push(bucketWaiter{bytes: float64(n), fn: fn})
 	b.arm()
 }
 
 // drainAll releases every waiter (rate removed).
 func (b *tokenBucket) drainAll() {
-	waiters := b.waiters
-	b.waiters = nil
-	for _, w := range waiters {
-		w := w
-		b.eng.Schedule(0, w.fn)
+	for b.waiters.Len() > 0 {
+		b.eng.Schedule(0, b.waiters.Pop().fn)
 	}
 }
 
@@ -104,12 +119,11 @@ func (b *tokenBucket) need(bytes float64) float64 {
 
 // arm schedules the wakeup for the head waiter.
 func (b *tokenBucket) arm() {
-	if len(b.waiters) == 0 || b.rate <= 0 {
+	if b.waiters.Len() == 0 || b.rate <= 0 {
 		return
 	}
 	b.timer++
-	gen := b.timer
-	deficit := b.need(b.waiters[0].bytes) - b.tokens
+	deficit := b.need(b.waiters.Front().bytes) - b.tokens
 	delay := sim.Time(1)
 	if deficit > 0 {
 		delay = sim.Time(deficit / b.rate * float64(sim.Second))
@@ -117,23 +131,22 @@ func (b *tokenBucket) arm() {
 			delay = 1
 		}
 	}
-	b.eng.Schedule(delay, func() {
-		if gen != b.timer {
-			return
-		}
-		b.release()
-	})
+	t, fresh := b.pools.bucketTimer.Get()
+	if fresh {
+		t.fire = t.onFire
+	}
+	t.b, t.gen = b, b.timer
+	b.eng.Schedule(delay, t.fire)
 }
 
 // release grants as many head waiters as tokens allow, then re-arms.
 func (b *tokenBucket) release() {
 	b.refill()
-	for len(b.waiters) > 0 {
-		if b.limited() && b.tokens < b.need(b.waiters[0].bytes) {
+	for b.waiters.Len() > 0 {
+		if b.limited() && b.tokens < b.need(b.waiters.Front().bytes) {
 			break
 		}
-		w := b.waiters[0]
-		b.waiters = b.waiters[1:]
+		w := b.waiters.Pop()
 		if b.limited() {
 			b.tokens -= w.bytes
 		}
@@ -147,7 +160,7 @@ func (b *tokenBucket) release() {
 // rule scoped to the data service.
 func (c *Client) SetRateLimit(bytesPerSec float64) {
 	if c.bucket == nil {
-		c.bucket = newTokenBucket(c.fs.Eng)
+		c.bucket = newTokenBucket(c.fs.Eng, &c.fs.pools)
 	}
 	c.bucket.setRate(bytesPerSec)
 }

@@ -113,7 +113,7 @@ func TestRateLimitedReporting(t *testing.T) {
 
 func TestBucketFIFOUnderPressure(t *testing.T) {
 	eng := sim.NewEngine()
-	b := newTokenBucket(eng)
+	b := newTokenBucket(eng, &callPools{})
 	b.setRate(1e6) // 1 MB/s
 	var order []int
 	for i := 0; i < 5; i++ {
@@ -143,7 +143,7 @@ func TestPropertyBucketRateConservation(t *testing.T) {
 		}
 		rate := float64(rateRaw%20+1) * 1e6
 		eng := sim.NewEngine()
-		b := newTokenBucket(eng)
+		b := newTokenBucket(eng, &callPools{})
 		b.setRate(rate)
 		var total, maxN int64
 		var lastGrant sim.Time

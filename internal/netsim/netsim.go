@@ -82,6 +82,27 @@ type flow struct {
 	bytes     int64    // original size, for observability
 }
 
+// timer is one armed completion check. Every reschedule arms a fresh one
+// tagged with the generation it was armed under; a timer whose generation
+// has been superseded fires as a no-op. Timers are pooled on the Network and
+// their fire method is bound once, so arming allocates nothing.
+type timer struct {
+	n    *Network
+	gen  uint64
+	fire func()
+}
+
+func (t *timer) onFire() {
+	n := t.n
+	stale := t.gen != n.gen
+	n.timerPool.Put(t)
+	if stale {
+		return // superseded by a later topology change
+	}
+	n.advance()
+	n.finishDrained()
+}
+
 // NodeStats reports cumulative traffic through a node.
 type NodeStats struct {
 	BytesSent uint64
@@ -104,7 +125,8 @@ type Network struct {
 
 	// Reusable scratch and free lists for the recompute/finish hot path.
 	epoch       uint64
-	freeFlows   []*flow
+	flowPool    sim.Pool[flow]
+	timerPool   sim.Pool[timer]
 	linksBuf    []*link
 	unfrozenBuf []*flow
 	finishedBuf []*flow
@@ -224,13 +246,7 @@ func (n *Network) Transfer(src, dst string, bytes int64, done func()) {
 	s.bytesSent += uint64(bytes)
 	d.bytesRecv += uint64(bytes)
 	n.nextFlowID++
-	var f *flow
-	if k := len(n.freeFlows); k > 0 {
-		f = n.freeFlows[k-1]
-		n.freeFlows = n.freeFlows[:k-1]
-	} else {
-		f = &flow{}
-	}
+	f, _ := n.flowPool.Get()
 	*f = flow{id: n.nextFlowID, src: s, dst: d, remaining: float64(bytes), done: done,
 		start: n.eng.Now(), bytes: bytes}
 	n.cFlows.Inc()
@@ -350,14 +366,18 @@ func (n *Network) reschedule() {
 		delay = 1
 	}
 	n.gen++
-	gen := n.gen
-	n.eng.Schedule(delay, func() {
-		if gen != n.gen {
-			return // superseded by a later topology change
-		}
-		n.advance()
-		n.finishDrained()
-	})
+	t, fresh := n.timerPool.Get()
+	if fresh {
+		t.n, t.fire = n, t.onFire
+	}
+	t.gen = n.gen
+	n.eng.Schedule(delay, t.fire)
+}
+
+// PoolStats reports the flow and timer pools' counts by name. Once the
+// engine has drained, each pool's free count equals its allocated count.
+func (n *Network) PoolStats() map[string]sim.PoolStats {
+	return map[string]sim.PoolStats{"flow": n.flowPool.Stats(), "timer": n.timerPool.Stats()}
 }
 
 // finishDrained completes flows whose bytes have drained and reschedules.
@@ -389,7 +409,7 @@ func (n *Network) finishDrained() {
 		// The engine holds the done closure, not the flow: recycle it.
 		f.done = nil
 		finished[i] = nil
-		n.freeFlows = append(n.freeFlows, f)
+		n.flowPool.Put(f)
 	}
 	n.finishedBuf = finished[:0]
 }

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -39,46 +38,33 @@ func ToSeconds(t Time) float64 {
 	return float64(t) / float64(Second)
 }
 
-// event is a single scheduled callback.
+// event is a single scheduled callback. The queue stores events by value, so
+// scheduling one allocates nothing beyond what the caller's fn already is.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
 	fn  func()
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq).
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulator clock and event queue.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
+	now Time
+	seq uint64
+	// events is a binary min-heap on (at, seq), sifted inline: the
+	// steady-state hot loop allocates nothing once the slice has grown to
+	// the run's peak queue depth.
+	events  []event
 	stopped bool
 	// executed counts events that have run; useful for progress assertions.
 	executed uint64
-	// free recycles executed event structs: the steady-state hot loop
-	// allocates no event objects, only the closures callers schedule. The
-	// list grows to the peak queue depth and is never trimmed.
-	free []*event
 
 	// Observability handles; nil (one branch per event) unless Instrument
 	// attached a sink.
@@ -128,17 +114,56 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	heap.Push(&e.events, ev)
+	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
+	e.siftUp(len(e.events) - 1)
 	e.cScheduled.Inc()
 	e.gQueueMax.Max(float64(len(e.events)))
+}
+
+// siftUp restores the heap order after an append at index i.
+func (e *Engine) siftUp(i int) {
+	h := e.events
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the fn reference so the closure can be collected
+	h = h[:n]
+	e.events = h
+	if n > 0 {
+		// Sift the former last element down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	return top
 }
 
 // Step executes the next event, if any, and reports whether one ran.
@@ -146,16 +171,11 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.at
 	e.executed++
 	e.cEvents.Inc()
-	fn := ev.fn
-	// Recycle before running fn: the event is off the heap, so a callback
-	// that schedules may reuse it immediately.
-	ev.fn = nil
-	e.free = append(e.free, ev)
-	fn()
+	ev.fn()
 	return true
 }
 

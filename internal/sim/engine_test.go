@@ -168,3 +168,22 @@ func TestPropertyAllEventsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineSteadyStateAllocFree pins the value-typed event heap: once the
+// queue has grown, scheduling and running events allocates nothing.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+7, fn)
+		e.Schedule(3, fn)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state At/Schedule/Step allocated %.1f times per cycle", allocs)
+	}
+}

@@ -13,7 +13,9 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []func()
+	// waiters pops in O(1), and a steady backlog allocates nothing once the
+	// ring has grown to its peak.
+	waiters FIFO[func()]
 	// peakQueue records the maximum number of simultaneous waiters,
 	// which is handy for test assertions and debugging backlog.
 	peakQueue int
@@ -34,7 +36,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // Waiting returns the number of queued acquirers.
-func (r *Resource) Waiting() int { return len(r.waiters) }
+func (r *Resource) Waiting() int { return r.waiters.Len() }
 
 // PeakWaiting returns the largest observed wait-queue length.
 func (r *Resource) PeakWaiting() int { return r.peakQueue }
@@ -49,9 +51,9 @@ func (r *Resource) Acquire(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, fn)
-	if len(r.waiters) > r.peakQueue {
-		r.peakQueue = len(r.waiters)
+	r.waiters.Push(fn)
+	if n := r.waiters.Len(); n > r.peakQueue {
+		r.peakQueue = n
 	}
 }
 
@@ -61,13 +63,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of unheld resource")
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		// Avoid retaining the popped callback.
-		copy(r.waiters, r.waiters[1:])
-		r.waiters[len(r.waiters)-1] = nil
-		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.eng.Schedule(0, next)
+	if r.waiters.Len() > 0 {
+		r.eng.Schedule(0, r.waiters.Pop())
 		return
 	}
 	r.inUse--
@@ -80,6 +77,7 @@ type Ticker struct {
 	period  Time
 	fn      func(Time)
 	stopped bool
+	fire    func() // t.tick, bound once so re-arming allocates nothing
 }
 
 // NewTicker starts a ticker whose first tick fires one period from now.
@@ -88,20 +86,19 @@ func NewTicker(eng *Engine, period Time, fn func(Time)) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.arm()
+	t.fire = t.tick
+	t.eng.Schedule(t.period, t.fire)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.eng.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.eng.Now())
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn(t.eng.Now())
+	if !t.stopped {
+		t.eng.Schedule(t.period, t.fire)
+	}
 }
 
 // Stop cancels the ticker. Safe to call from within the tick callback.

@@ -122,9 +122,13 @@ type Runner struct {
 	active   int
 	started  bool
 	prepared bool
+	// mdt is the Targets of every metadata record, shared by all of them.
+	mdt []int
+	// ioOps counts the I/O ops of one pass over every rank's stream.
+	ioOps int
 
 	paused    bool
-	held      []func()
+	held      []*rank
 	heldBytes int64
 }
 
@@ -151,8 +155,8 @@ func (r *Runner) Resume() {
 	r.heldBytes = 0
 	held := r.held
 	r.held = nil
-	for _, cont := range held {
-		cont()
+	for _, k := range held {
+		k.exec()
 	}
 }
 
@@ -162,6 +166,11 @@ func (r *Runner) Paused() bool { return r.paused }
 // HeldBytes is the total I/O volume (op sizes) of operations currently held
 // at the pause gate. It resets on Resume.
 func (r *Runner) HeldBytes() int64 { return r.heldBytes }
+
+// IOOps is the number of I/O operations in one pass over every rank's
+// stream, known once Start has generated the streams: the number of records
+// a non-looping runner emits when it finishes.
+func (r *Runner) IOOps() int { return r.ioOps }
 
 // Running reports whether any rank is still executing.
 func (r *Runner) Running() bool { return r.active > 0 }
@@ -177,18 +186,33 @@ func (r *Runner) Start() {
 	}
 	r.Gen.Prepare(r.FS)
 	r.active = r.Ranks
-	for rank := 0; rank < r.Ranks; rank++ {
-		node := r.Nodes[rank%len(r.Nodes)]
-		r.runRank(rank, node)
+	r.mdt = []int{r.FS.MDTIndex()}
+	for id := 0; id < r.Ranks; id++ {
+		node := r.Nodes[id%len(r.Nodes)]
+		r.runRank(id, node)
 	}
 }
 
-// rankState tracks a rank's open handles across its stream.
-type rankState struct {
+// rank is one rank's cursor through its op stream. A rank has at most one
+// op in flight, so its continuations are methods bound once when the rank
+// starts, and the steady-state op loop allocates nothing.
+type rank struct {
+	r       *Runner
+	id      int
+	client  *lustre.Client
+	writeFn func(h *lustre.Handle, off, length int64, done func())
+	ops     []Op
 	handles map[string]*lustre.Handle
+
+	iter, i int            // position of the op in flight
+	start   sim.Time       // its issue time
+	h       *lustre.Handle // its handle, for a data op
+
+	onMeta, onData, onCompute func()
+	onOpened                  func(*lustre.Handle)
 }
 
-func (r *Runner) runRank(rank int, node string) {
+func (r *Runner) runRank(id int, node string) {
 	client := r.FS.Client(node)
 	writeFn := client.Write
 	if r.WriteViaFor != nil {
@@ -198,94 +222,117 @@ func (r *Runner) runRank(rank int, node string) {
 	} else if r.WriteVia != nil {
 		writeFn = r.WriteVia
 	}
-	st := &rankState{handles: make(map[string]*lustre.Handle)}
-	iter := 0
-	ops := r.Gen.Ops(rank)
-	var exec func(i int)
-	finishRank := func() {
-		r.active--
-		if r.active == 0 && r.OnDone != nil {
-			r.OnDone()
+	k := &rank{r: r, id: id, client: client, writeFn: writeFn,
+		ops: r.Gen.Ops(id), handles: make(map[string]*lustre.Handle)}
+	for _, op := range k.ops {
+		if op.Kind.IsIO() {
+			r.ioOps++
 		}
 	}
-	exec = func(i int) {
-		if r.stopped {
-			finishRank()
-			return
-		}
-		if r.paused {
-			// Hold the rank at the gate; Resume re-enters exec(i), which
-			// rechecks stopped so a Stop while held still wins.
-			if i < len(ops) && ops[i].Kind.IsIO() {
-				r.heldBytes += ops[i].Size
-			}
-			r.held = append(r.held, func() { exec(i) })
-			return
-		}
-		if i >= len(ops) {
-			if !r.Loop {
-				finishRank()
-				return
-			}
-			iter++
-			exec(0)
-			return
-		}
-		op := ops[i]
-		start := r.FS.Eng.Now()
-		emit := func(targets []int) {
-			if r.OnRecord != nil && op.Kind.IsIO() {
-				r.OnRecord(Record{
-					Workload: r.Name, Rank: rank, Iter: iter, Seq: i,
-					Op: op, Start: start, End: r.FS.Eng.Now(),
-					Targets: targets,
-				})
-			}
-			exec(i + 1)
-		}
-		mdt := []int{r.FS.MDTIndex()}
-		switch op.Kind {
-		case Compute:
-			r.FS.Eng.Schedule(op.Dur, func() { emit(nil) })
-		case Create:
-			client.Create(op.Path, op.StripeCount, func(h *lustre.Handle) {
-				st.handles[op.Path] = h
-				emit(mdt)
-			})
-		case Open:
-			client.Open(op.Path, func(h *lustre.Handle) {
-				st.handles[op.Path] = h
-				emit(mdt)
-			})
-		case Close:
-			h := st.handle(op)
-			delete(st.handles, op.Path)
-			client.Close(h, func() { emit(mdt) })
-		case Stat:
-			client.Stat(op.Path, func() { emit(mdt) })
-		case Unlink:
-			client.Unlink(op.Path, func() { emit(mdt) })
-		case Mkdir:
-			client.Mkdir(op.Path, func() { emit(mdt) })
-		case Read:
-			h := st.handle(op)
-			client.Read(h, op.Offset, op.Size, func() {
-				emit(h.Targets(op.Offset, op.Size))
-			})
-		case Write:
-			h := st.handle(op)
-			writeFn(h, op.Offset, op.Size, func() {
-				emit(h.Targets(op.Offset, op.Size))
-			})
-		default:
-			panic(fmt.Sprintf("workload: unknown op kind %d", op.Kind))
-		}
-	}
-	exec(0)
+	k.onMeta, k.onData, k.onCompute, k.onOpened = k.metaDone, k.dataDone, k.computeDone, k.opened
+	k.exec()
 }
 
-func (s *rankState) handle(op Op) *lustre.Handle {
-	h, ok := s.handles[op.Path]
+func (r *Runner) finishRank() {
+	r.active--
+	if r.active == 0 && r.OnDone != nil {
+		r.OnDone()
+	}
+}
+
+// exec issues the rank's current op, or ends, holds or restarts the stream.
+func (k *rank) exec() {
+	r := k.r
+	if r.stopped {
+		r.finishRank()
+		return
+	}
+	if r.paused {
+		// Hold the rank at the gate; Resume re-enters exec, which
+		// rechecks stopped so a Stop while held still wins.
+		if k.i < len(k.ops) && k.ops[k.i].Kind.IsIO() {
+			r.heldBytes += k.ops[k.i].Size
+		}
+		r.held = append(r.held, k)
+		return
+	}
+	if k.i >= len(k.ops) {
+		if !r.Loop {
+			r.finishRank()
+			return
+		}
+		k.iter++
+		k.i = 0
+		k.exec()
+		return
+	}
+	op := &k.ops[k.i]
+	k.start = r.FS.Eng.Now()
+	switch op.Kind {
+	case Compute:
+		r.FS.Eng.Schedule(op.Dur, k.onCompute)
+	case Create:
+		k.client.Create(op.Path, op.StripeCount, k.onOpened)
+	case Open:
+		k.client.Open(op.Path, k.onOpened)
+	case Close:
+		h := k.handle(op)
+		delete(k.handles, op.Path)
+		k.client.Close(h, k.onMeta)
+	case Stat:
+		k.client.Stat(op.Path, k.onMeta)
+	case Unlink:
+		k.client.Unlink(op.Path, k.onMeta)
+	case Mkdir:
+		k.client.Mkdir(op.Path, k.onMeta)
+	case Read:
+		k.h = k.handle(op)
+		k.client.Read(k.h, op.Offset, op.Size, k.onData)
+	case Write:
+		k.h = k.handle(op)
+		k.writeFn(k.h, op.Offset, op.Size, k.onData)
+	default:
+		panic(fmt.Sprintf("workload: unknown op kind %d", op.Kind))
+	}
+}
+
+func (k *rank) opened(h *lustre.Handle) {
+	k.handles[k.ops[k.i].Path] = h
+	k.emit(k.r.mdt)
+}
+
+func (k *rank) metaDone()    { k.emit(k.r.mdt) }
+func (k *rank) computeDone() { k.emit(nil) }
+
+// dataDone resolves the op's storage targets only when a record observer
+// wants them.
+func (k *rank) dataDone() {
+	h := k.h
+	k.h = nil
+	var targets []int
+	if k.r.OnRecord != nil {
+		op := &k.ops[k.i]
+		targets = h.Targets(op.Offset, op.Size)
+	}
+	k.emit(targets)
+}
+
+// emit records the completed op and issues the next one.
+func (k *rank) emit(targets []int) {
+	r := k.r
+	if op := k.ops[k.i]; r.OnRecord != nil && op.Kind.IsIO() {
+		r.OnRecord(Record{
+			Workload: r.Name, Rank: k.id, Iter: k.iter, Seq: k.i,
+			Op: op, Start: k.start, End: r.FS.Eng.Now(),
+			Targets: targets,
+		})
+	}
+	k.i++
+	k.exec()
+}
+
+func (k *rank) handle(op *Op) *lustre.Handle {
+	h, ok := k.handles[op.Path]
 	if !ok {
 		panic(fmt.Sprintf("workload: %s of %q without open handle", op.Kind, op.Path))
 	}
