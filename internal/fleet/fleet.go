@@ -304,36 +304,21 @@ func cause(err error) string {
 // timeline ("route key replica", with "retry key replica cause" lines for
 // the replicas that lost their turn).
 func (c *Coordinator) Predict(ctx context.Context, key string, mat window.Matrix) (*serve.PredictResponse, error) {
-	var errs []error
-	for _, r := range c.rank(key) {
-		resp, err := r.client.Predict(ctx, mat)
-		if err == nil {
-			c.event("route %s %s", key, r.name)
-			c.mu.Lock()
-			c.accepted++
-			c.mu.Unlock()
-			return resp, nil
-		}
-		if errors.Is(err, serve.ErrBadInput) {
-			c.event("reject %s bad-input", key)
-			return nil, err
-		}
-		c.event("retry %s %s %s", key, r.name, cause(err))
-		c.noteFail(r.name, cause(err))
-		errs = append(errs, fmt.Errorf("%s: %w", r.name, err))
-	}
-	c.event("drop %s", key)
-	c.mu.Lock()
-	c.dropped++
-	c.mu.Unlock()
-	return nil, fmt.Errorf("%w for key %q: %w", ErrAllReplicasFailed, key, errors.Join(errs...))
+	return route(c, key, func(cl *serve.Client) (*serve.PredictResponse, error) { return cl.Predict(ctx, mat) })
 }
 
-// Forecast routes a window history the same way Predict routes a matrix.
+// Forecast routes a window history the same way Predict routes a matrix; a
+// replica without a forecaster is, like bad input, not failed over.
 func (c *Coordinator) Forecast(ctx context.Context, key string, history []window.Matrix) (*serve.ForecastResponse, error) {
+	return route(c, key, func(cl *serve.Client) (*serve.ForecastResponse, error) { return cl.Forecast(ctx, history) })
+}
+
+// route asks the replicas in rendezvous order for key until one answers.
+func route[A any](c *Coordinator, key string, ask func(*serve.Client) (A, error)) (A, error) {
+	var none A
 	var errs []error
 	for _, r := range c.rank(key) {
-		resp, err := r.client.Forecast(ctx, history)
+		resp, err := ask(r.client)
 		if err == nil {
 			c.event("route %s %s", key, r.name)
 			c.mu.Lock()
@@ -343,7 +328,7 @@ func (c *Coordinator) Forecast(ctx context.Context, key string, history []window
 		}
 		if errors.Is(err, serve.ErrBadInput) || errors.Is(err, serve.ErrNoForecaster) {
 			c.event("reject %s %s", key, cause(err))
-			return nil, err
+			return none, err
 		}
 		c.event("retry %s %s %s", key, r.name, cause(err))
 		c.noteFail(r.name, cause(err))
@@ -353,7 +338,7 @@ func (c *Coordinator) Forecast(ctx context.Context, key string, history []window
 	c.mu.Lock()
 	c.dropped++
 	c.mu.Unlock()
-	return nil, fmt.Errorf("%w for key %q: %w", ErrAllReplicasFailed, key, errors.Join(errs...))
+	return none, fmt.Errorf("%w for key %q: %w", ErrAllReplicasFailed, key, errors.Join(errs...))
 }
 
 // ReplicaStatus is one replica's health as the coordinator sees it.
@@ -460,11 +445,32 @@ func (c *Coordinator) preflight(ctx context.Context, r *Replica) error {
 	return nil
 }
 
-// promoted records one completed rollout step for rollback.
-type promoted struct {
+// artifact is the method set a rollout needs from a model type
+// (*core.Framework, *forecast.Forecaster): a per-replica copy and a digest.
+// comparable lets a rollout tell "no model loaded" (the zero value) apart.
+type artifact[M any] interface {
+	comparable
+	Clone() (M, error)
+	ExportWeights() [][]float64
+}
+
+// slot names how a rollout reads and swaps one model kind on a replica's
+// admin plane.
+type slot[M artifact[M]] struct {
+	current func(Admin) M
+	reload  func(Admin, M) error
+}
+
+var (
+	frameworkSlot  = slot[*core.Framework]{current: Admin.Framework, reload: Admin.ReloadFramework}
+	forecasterSlot = slot[*forecast.Forecaster]{current: Admin.Forecaster, reload: Admin.ReloadForecaster}
+)
+
+// promoted records one completed rollout step for rollback: the replica and
+// the incumbent clone captured before the step (zero = none was loaded).
+type promoted[M artifact[M]] struct {
 	r   *Replica
-	inc *core.Framework      // incumbent clone captured before the step
-	fc  *forecast.Forecaster // incumbent forecaster clone (nil = none was loaded)
+	inc M
 }
 
 // Promote rolls a candidate framework across the fleet replica by replica,
@@ -478,62 +484,89 @@ func (c *Coordinator) Promote(ctx context.Context, cand *core.Framework) error {
 	if cand == nil {
 		return errors.New("fleet: nil candidate framework")
 	}
+	return promote(ctx, c, frameworkSlot, cand)
+}
+
+// PromoteForecaster rolls a candidate forecaster across the fleet with the
+// same preflight / per-replica clone / reverse rollback discipline as
+// Promote. One asymmetry: a replica whose incumbent had no forecaster
+// cannot be rolled back to "none" (the serving layer cannot unload), so a
+// failed first-time rollout leaves earlier replicas on the candidate and
+// records "rollback <name> none"; Status then reports the fleet
+// inconsistent until a retry lands everywhere.
+func (c *Coordinator) PromoteForecaster(ctx context.Context, cand *forecast.Forecaster) error {
+	if cand == nil {
+		return errors.New("fleet: nil candidate forecaster")
+	}
+	return promote(ctx, c, forecasterSlot, cand)
+}
+
+// promote is the rolling rollout behind Promote and PromoteForecaster.
+func promote[M artifact[M]](ctx context.Context, c *Coordinator, sl slot[M], cand M) error {
 	c.promoteMu.Lock()
 	defer c.promoteMu.Unlock()
 
 	digest := ml.WeightsDigest(cand.ExportWeights())
-	var done []promoted
+	var done []promoted[M]
 	for _, r := range c.snapshot() {
-		if err := c.stepFramework(ctx, r, cand, digest, &done); err != nil {
-			c.rollback(done)
+		inc, err := step(ctx, c, sl, r, cand, digest)
+		if err != nil {
+			rollback(c, sl, done)
 			return fmt.Errorf("%w: halted at %s: %v (rolled back %d replica(s))",
 				ErrPromotionFailed, r.name, err, len(done))
 		}
+		done = append(done, promoted[M]{r: r, inc: inc})
 	}
 	return nil
 }
 
-func (c *Coordinator) stepFramework(ctx context.Context, r *Replica, cand *core.Framework, digest string, done *[]promoted) error {
+// step promotes one replica and returns the incumbent clone it replaced
+// (zero when the replica had none).
+func step[M artifact[M]](ctx context.Context, c *Coordinator, sl slot[M], r *Replica, cand M, digest string) (M, error) {
+	var inc, none M
 	if err := c.preflight(ctx, r); err != nil {
 		c.event("promote-failed %s %s", r.name, cause(err))
-		return err
+		return none, err
 	}
-	inc, err := r.admin.Framework().Clone()
-	if err != nil {
-		c.event("promote-failed %s clone", r.name)
-		return err
+	if cur := sl.current(r.admin); cur != none {
+		var err error
+		if inc, err = cur.Clone(); err != nil {
+			c.event("promote-failed %s clone", r.name)
+			return none, err
+		}
 	}
 	clone, err := cand.Clone()
 	if err != nil {
 		c.event("promote-failed %s clone", r.name)
-		return err
+		return none, err
 	}
-	if err := r.admin.ReloadFramework(clone); err != nil {
+	if err := sl.reload(r.admin, clone); err != nil {
 		c.event("promote-failed %s reload", r.name)
-		return err
+		return none, err
 	}
 	c.event("promote %s %s", r.name, digest)
-	*done = append(*done, promoted{r: r, inc: inc})
-	return nil
+	return inc, nil
 }
 
 // rollback restores already-promoted replicas to their incumbents, newest
 // first. Best-effort: a replica that refuses its own incumbent back is
-// recorded and skipped (Status will flag the fleet inconsistent).
-func (c *Coordinator) rollback(done []promoted) {
+// recorded and skipped (Status will flag the fleet inconsistent). A replica
+// that had no incumbent keeps the candidate — a loaded model cannot be
+// unloaded, so the first load is sticky.
+func rollback[M artifact[M]](c *Coordinator, sl slot[M], done []promoted[M]) {
+	var none M
 	for i := len(done) - 1; i >= 0; i-- {
 		d := done[i]
-		if d.inc != nil {
-			if err := d.r.admin.ReloadFramework(d.inc); err != nil {
-				c.event("rollback-failed %s", d.r.name)
-				continue
-			}
-			c.event("rollback %s %s", d.r.name, ml.WeightsDigest(d.inc.ExportWeights()))
+		if d.inc == none {
+			c.event("rollback %s none", d.r.name)
 			continue
 		}
-		// Forecaster rollout whose incumbent was "none": a loaded forecaster
-		// cannot be unloaded, so the first load is sticky.
-		c.event("rollback %s none", d.r.name)
+		digest := ml.WeightsDigest(d.inc.ExportWeights())
+		if err := sl.reload(d.r.admin, d.inc); err != nil {
+			c.event("rollback-failed %s", d.r.name)
+			continue
+		}
+		c.event("rollback %s %s", d.r.name, digest)
 	}
 }
 
@@ -561,74 +594,6 @@ func (c *Coordinator) PromoteShadowed(ctx context.Context, verdict online.GateRe
 	}
 	c.event("shadow-promote %s", verdict.Winner)
 	return c.Promote(ctx, cand)
-}
-
-// PromoteForecaster rolls a candidate forecaster across the fleet with the
-// same preflight / per-replica clone / reverse rollback discipline as
-// Promote. One asymmetry: a replica whose incumbent had no forecaster
-// cannot be rolled back to "none" (the serving layer cannot unload), so a
-// failed first-time rollout leaves earlier replicas on the candidate and
-// records "rollback <name> none"; Status then reports the fleet
-// inconsistent until a retry lands everywhere.
-func (c *Coordinator) PromoteForecaster(ctx context.Context, cand *forecast.Forecaster) error {
-	if cand == nil {
-		return errors.New("fleet: nil candidate forecaster")
-	}
-	c.promoteMu.Lock()
-	defer c.promoteMu.Unlock()
-
-	digest := ml.WeightsDigest(cand.ExportWeights())
-	var done []promoted
-	for _, r := range c.snapshot() {
-		if err := c.stepForecaster(ctx, r, cand, digest, &done); err != nil {
-			c.rollbackForecasters(done)
-			return fmt.Errorf("%w: halted at %s: %v (rolled back %d replica(s))",
-				ErrPromotionFailed, r.name, err, len(done))
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) stepForecaster(ctx context.Context, r *Replica, cand *forecast.Forecaster, digest string, done *[]promoted) error {
-	if err := c.preflight(ctx, r); err != nil {
-		c.event("promote-failed %s %s", r.name, cause(err))
-		return err
-	}
-	var inc *forecast.Forecaster
-	if cur := r.admin.Forecaster(); cur != nil {
-		var err error
-		if inc, err = cur.Clone(); err != nil {
-			c.event("promote-failed %s clone", r.name)
-			return err
-		}
-	}
-	clone, err := cand.Clone()
-	if err != nil {
-		c.event("promote-failed %s clone", r.name)
-		return err
-	}
-	if err := r.admin.ReloadForecaster(clone); err != nil {
-		c.event("promote-failed %s reload", r.name)
-		return err
-	}
-	c.event("promote %s %s", r.name, digest)
-	*done = append(*done, promoted{r: r, fc: inc})
-	return nil
-}
-
-func (c *Coordinator) rollbackForecasters(done []promoted) {
-	for i := len(done) - 1; i >= 0; i-- {
-		d := done[i]
-		if d.fc == nil {
-			c.event("rollback %s none", d.r.name)
-			continue
-		}
-		if err := d.r.admin.ReloadForecaster(d.fc); err != nil {
-			c.event("rollback-failed %s", d.r.name)
-			continue
-		}
-		c.event("rollback %s %s", d.r.name, ml.WeightsDigest(d.fc.ExportWeights()))
-	}
 }
 
 // MergedDataset exports every replica's labeled reservoir under its own

@@ -266,6 +266,38 @@ func TestFailoverDropsNothing(t *testing.T) {
 	}
 }
 
+// TestPoisonRequestRejected: a matrix whose probabilities come out
+// non-finite (every feature 1e308) is the caller's mistake. Every replica
+// would refuse it the same way, so the fleet rejects it at the first replica
+// without failing over, blaming a replica, or counting a drop.
+func TestPoisonRequestRejected(t *testing.T) {
+	ctx := context.Background()
+	f := newTestFleet(t, 3, 13)
+	poison := make(window.Matrix, testTargets)
+	for i := range poison {
+		poison[i] = make([]float64, testFeat)
+		for j := range poison[i] {
+			poison[i][j] = 1e308
+		}
+	}
+	if _, err := f.c.Predict(ctx, "poison", poison); !errors.Is(err, serve.ErrBadInput) {
+		t.Fatalf("poison predict = %v, want ErrBadInput", err)
+	}
+	for _, ev := range f.c.Timeline() {
+		if strings.HasPrefix(ev, "retry ") || strings.HasPrefix(ev, "drop ") {
+			t.Fatalf("poison request failed over: %q in %q", ev, f.c.Timeline())
+		}
+	}
+	for _, rs := range f.c.Status(ctx).Replicas {
+		if rs.LastFailure != "" {
+			t.Fatalf("replica %s blamed for a poison request: %q", rs.Name, rs.LastFailure)
+		}
+	}
+	if got := f.c.Dropped(); got != 0 {
+		t.Fatalf("dropped %d, want 0", got)
+	}
+}
+
 // TestStatusAggregation pins the health view: a consistent fleet, then a
 // killed replica (still consistent among the healthy), then a divergent
 // model digest (inconsistent).

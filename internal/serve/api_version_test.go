@@ -9,9 +9,9 @@ import (
 	"quanterference/internal/ml"
 )
 
-// TestVersionedSurface pins the v1 API consolidation: every route answers
-// under /v1/, the unversioned aliases still work but advertise deprecation,
-// and /v1/healthz carries the API version plus the served weight digests.
+// TestVersionedSurface pins the v1 API: every route answers under /v1/, the
+// unversioned pre-v1 paths are gone (404), and /v1/healthz carries the API
+// version plus the served weight digests.
 func TestVersionedSurface(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	wantDigest := ml.WeightsDigest(fw.ExportWeights())
@@ -69,27 +69,23 @@ func TestVersionedSurface(t *testing.T) {
 		t.Fatalf("post-promotion predict stamp = %q (%v), want %q", resp.ModelDigest, err, candDigest)
 	}
 
-	// The unversioned alias still answers, flagged deprecated; the versioned
-	// route is not.
-	for _, tc := range []struct {
-		path       string
-		deprecated bool
-	}{
-		{"/healthz", true},
-		{"/" + APIVersion + "/healthz", false},
-	} {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
-		if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"status":"ok"`) {
-			t.Fatalf("GET %s = %d %s", tc.path, rec.Code, rec.Body.String())
-		}
-		if got := rec.Header().Get("Deprecation") == "true"; got != tc.deprecated {
-			t.Fatalf("GET %s Deprecation header = %v, want %v", tc.path, got, tc.deprecated)
+	// Only the versioned routes are mounted: every pre-v1 path is a 404.
+	for _, path := range []string{"/predict", "/forecast", "/healthz", "/stats", "/shadow", "/admin/reload"} {
+		for _, method := range []string{"GET", "POST"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("{}")))
+			if rec.Code != 404 {
+				t.Fatalf("%s %s = %d %s, want 404", method, path, rec.Code, rec.Body.String())
+			}
 		}
 	}
-
-	// /v1/stats serves the same snapshot as the legacy /stats.
 	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/"+APIVersion+"/healthz", nil))
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"status":"ok"`) {
+		t.Fatalf("GET /v1/healthz = %d %s", rec.Code, rec.Body.String())
+	}
+
+	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/"+APIVersion+"/stats", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "serve/requests") {
 		t.Fatalf("/v1/stats = %d %s", rec.Code, rec.Body.String())

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"quanterference/internal/monitor/window"
@@ -55,8 +57,8 @@ type ForecastResponse struct {
 }
 
 // ShadowEvaluator is the slice of a shadow evaluator (internal/shadow's
-// *Evaluator) the serving layer drives: the mirror tap the batcher calls
-// right before answering each request, plus the scoreboard /v1/shadow
+// *Evaluator) the serving layer drives: the mirror tap the predict batcher
+// calls right before answering each request, plus the scoreboard /v1/shadow
 // serves. The interface lives here — rather than serve importing
 // internal/shadow — because the evaluator layers above the serving layer
 // exactly like the fleet coordinator does (and the continuous-learning
@@ -175,35 +177,17 @@ type errorResponse struct {
 //	GET  /v1/shadow        -> shadow.Status (champion/challenger scoreboard; 404 without a shadow evaluator)
 //	POST /v1/admin/reload  {"path": "..."} (optional body) -> {"reloaded": true}
 //
-// Every route is also mounted at its original unversioned path as a
-// deprecated shim for pre-v1 clients; shim responses carry a
-// "Deprecation: true" header and behave identically otherwise. New clients
-// (serve.Client included) speak /v1/ only.
+// Unversioned paths are not mounted (404).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := map[string]http.HandlerFunc{
-		"/predict":      s.handlePredict,
-		"/forecast":     s.handleForecast,
-		"/healthz":      s.handleHealthz,
-		"/stats":        s.handleStats,
-		"/shadow":       s.handleShadow,
-		"/admin/reload": s.handleReload,
-	}
-	for path, h := range routes {
-		mux.HandleFunc("/"+APIVersion+path, h)
-		mux.HandleFunc(path, deprecatedShim(h))
-	}
+	v1 := "/" + APIVersion
+	mux.HandleFunc(v1+"/predict", s.handlePredict)
+	mux.HandleFunc(v1+"/forecast", s.handleForecast)
+	mux.HandleFunc(v1+"/healthz", s.handleHealthz)
+	mux.HandleFunc(v1+"/stats", s.handleStats)
+	mux.HandleFunc(v1+"/shadow", s.handleShadow)
+	mux.HandleFunc(v1+"/admin/reload", s.handleReload)
 	return mux
-}
-
-// deprecatedShim marks an unversioned alias response as deprecated without
-// changing its behavior.
-func deprecatedShim(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</"+APIVersion+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // writeServeError maps a Predict/Forecast error to its HTTP status and typed
@@ -235,10 +219,29 @@ func writeServeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeJSON encodes v before writing the status line, so a value that cannot
+// be encoded (a NaN, say) becomes a 500 with an error body rather than a
+// 200 with an empty one. It returns the encode error.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) error {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(errorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
+	return err
+}
+
+// respond is writeJSON for replies carrying model output or other floats,
+// counting an encode failure in serve/errors.
+func (s *Server) respond(w http.ResponseWriter, status int, v interface{}) {
+	if writeJSON(w, status, v) != nil {
+		s.mErrors.Inc()
+	}
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -251,15 +254,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	class, probs, err := s.Predict(r.Context(), window.Matrix(req.Matrix))
+	snap, p, err := s.predictLane.submit(r.Context(), window.Matrix(req.Matrix))
 	if err != nil {
 		writeServeError(w, err)
 		return
 	}
-	fw := s.fw.Load()
-	writeJSON(w, http.StatusOK, PredictResponse{
-		Class: class, Label: fw.Bins.Name(class), Probs: probs,
-		ModelDigest: s.ModelDigest(),
+	s.respond(w, http.StatusOK, PredictResponse{
+		Class: p.class, Label: snap.model.Bins.Name(p.class), Probs: p.probs,
+		ModelDigest: snap.digest,
 	})
 }
 
@@ -277,45 +279,45 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	for i, mat := range req.History {
 		hist[i] = window.Matrix(mat)
 	}
-	pred, err := s.Forecast(r.Context(), hist)
+	snap, pred, err := s.forecastLane.submit(r.Context(), hist)
 	if err != nil {
 		writeServeError(w, err)
 		return
 	}
-	fc := s.fc.Load()
 	labels := make([]string, len(pred.Classes))
 	for i, c := range pred.Classes {
-		labels[i] = fc.Bins.Name(c)
+		labels[i] = snap.model.Bins.Name(c)
 	}
-	writeJSON(w, http.StatusOK, ForecastResponse{
+	s.respond(w, http.StatusOK, ForecastResponse{
 		Horizons:    pred.Horizons,
 		Classes:     pred.Classes,
 		Labels:      labels,
 		Probs:       pred.Probs,
 		LeadWindows: pred.LeadWindows,
 		Degrading:   pred.Degrading(),
-		ModelDigest: s.ForecasterDigest(),
+		ModelDigest: snap.digest,
 	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fw := s.fw.Load()
+	snap := s.predictLane.slot.Load()
+	fw := snap.model
 	nTargets, nFeat := fw.Dims()
 	h := Health{
 		Status:      "ok",
 		APIVersion:  APIVersion,
-		ModelDigest: s.ModelDigest(),
+		ModelDigest: snap.digest,
 		Targets:     nTargets,
 		Features:    nFeat,
 		Classes:     fw.Classes(),
 		Thresholds:  fw.Bins.Thresholds,
 	}
-	if fc := s.fc.Load(); fc != nil {
-		h.ForecastHistory, _ = fc.Dims()
-		h.ForecastHorizons = fc.Horizons()
-		h.ForecasterDigest = s.ForecasterDigest()
+	if fsnap := s.forecastLane.slot.Load(); fsnap != nil {
+		h.ForecastHistory, _ = fsnap.model.Dims()
+		h.ForecastHorizons = fsnap.model.Horizons()
+		h.ForecasterDigest = fsnap.digest
 	}
-	writeJSON(w, http.StatusOK, h)
+	s.respond(w, http.StatusOK, h)
 }
 
 func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
@@ -327,7 +329,7 @@ func (s *Server) handleShadow(w http.ResponseWriter, r *http.Request) {
 	// Drain the mirror queue first so the scoreboard reflects every reply
 	// the caller has already seen (the batcher mirrors before answering).
 	ev.Sync()
-	writeJSON(w, http.StatusOK, ev.Status())
+	s.respond(w, http.StatusOK, ev.Status())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -340,10 +342,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	// An empty body means "reload the configured path"; a malformed one is
+	// the caller's mistake, not a request for the default.
 	var req reloadRequest
-	if r.Body != nil {
-		// An empty body means "reload the configured path".
-		_ = json.NewDecoder(r.Body).Decode(&req)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+		return
 	}
 	if err := s.Reload(req.Path); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})

@@ -4,30 +4,34 @@
 // from many monitoring agents at once.
 //
 // Concurrency model: the Framework's Predict/PredictBatch reuse internal
-// scratch and are not goroutine-safe, so the server funnels every request
+// scratch and are not goroutine-safe, so the server funnels every prediction
 // through a single batcher goroutine. Concurrent requests are gathered into
 // one PredictBatch call, bounded by MaxBatch (size) and BatchWindow
 // (latency). PredictBatch is bit-identical to per-input Predict, so batching
 // composition never changes an answer — a property the tests pin down under
 // -race with dozens of concurrent clients.
 //
-// Hot reload swaps an atomic framework pointer: in-flight batches keep the
-// framework they loaded (each Framework owns its own scratch), so a reload
-// never drops or corrupts a request. Shutdown closes an admission gate,
-// waits for in-flight requests to drain through the batcher, then stops it.
+// The predict and forecast paths are one generic lane instantiated twice:
+// each lane owns an atomic snapshot of its model and weight digest, a
+// queue, and a batcher goroutine, behind one shared admission gate. Hot
+// reload publishes a new snapshot; a batch answers from the snapshot it
+// loaded and every reply carries that snapshot, so a reply is always
+// stamped with the digest and bins of the model that computed it, and a
+// reload never drops or corrupts a request. Shutdown closes the admission
+// gate, waits for in-flight requests to drain through the batchers, then
+// stops them.
 package serve
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quanterference/internal/core"
 	"quanterference/internal/forecast"
-	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
 )
@@ -42,8 +46,8 @@ var (
 	// ErrShuttingDown reports that the server no longer admits requests.
 	ErrShuttingDown = errors.New("serve: server shutting down")
 
-	// ErrBadInput reports a window matrix whose shape does not match the
-	// loaded model.
+	// ErrBadInput reports an input whose shape does not match the loaded
+	// model, or on which the model's probabilities come out non-finite.
 	ErrBadInput = errors.New("serve: bad input matrix")
 
 	// ErrNoForecaster reports a Forecast call on a server that has no
@@ -106,73 +110,20 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// request is one enqueued prediction; resp is buffered so the batcher never
-// blocks on a caller that gave up (context cancellation).
-type request struct {
-	mat  window.Matrix
-	resp chan response
-	enq  time.Time
-}
-
-type response struct {
+// prediction is one classifier answer; probs is the caller's to keep.
+type prediction struct {
 	class int
 	probs []float64
 }
 
-// frequest is one enqueued forecast: a whole window history rather than one
-// matrix. Same buffered-resp discipline as request.
-type frequest struct {
-	hist []window.Matrix
-	resp chan fresponse
-	enq  time.Time
-}
-
-type fresponse struct {
-	pred *forecast.Prediction
-	err  error
-}
-
-// Server batches concurrent predictions through one framework. Create with
-// New, serve HTTP via Handler, stop with Shutdown.
+// Server batches concurrent predictions and forecasts through one lane per
+// model kind. Create with New, serve HTTP via Handler, stop with Shutdown.
 type Server struct {
-	cfg Config
-
-	fw     atomic.Pointer[core.Framework]
-	fc     atomic.Pointer[forecast.Forecaster]
-	queue  chan *request
-	fqueue chan *frequest
-
-	// fwDigest / fcDigest are the weight digests (ml.WeightsDigest) of the
-	// served framework / forecaster, recomputed on every swap and stamped on
-	// replies and /healthz so clients — and the fleet coordinator — can tell
-	// exactly which model version answered. Stored separately from the model
-	// pointers; each is updated before its pointer, so a reply can briefly
-	// carry the digest of the model that is about to serve, never a stale one.
-	fwDigest atomic.Pointer[string]
-	fcDigest atomic.Pointer[string]
-
-	gateMu   sync.RWMutex
-	stopping bool
-	inflight sync.WaitGroup
+	*shared
 	stopOnce sync.Once
-	stop     chan struct{} // closed by Shutdown once admissions drained
-	done     chan struct{} // closed when the batcher exits
-	fdone    chan struct{} // closed when the forecast batcher exits
 
-	mRequests  *obs.Counter
-	mForecasts *obs.Counter
-	mErrors    *obs.Counter
-	mReloads   *obs.Counter
-	mBatches   *obs.Counter
-	gInflight  *obs.Gauge
-	gFInflight *obs.Gauge
-	hBatch     *obs.Histogram
-	hFBatch    *obs.Histogram
-	hQueueNS   *obs.Histogram
-	hModelNS   *obs.Histogram
-	hTotalNS   *obs.Histogram
-
-	batchMats []window.Matrix // batcher-only scratch
+	predictLane  *lane[*core.Framework, window.Matrix, prediction]
+	forecastLane *lane[*forecast.Forecaster, []window.Matrix, *forecast.Prediction]
 }
 
 // New starts a serving loop around fw. The framework must not be used
@@ -182,71 +133,65 @@ func New(fw *core.Framework, cfg Config) *Server {
 		panic("serve: nil framework")
 	}
 	cfg.applyDefaults()
-	s := &Server{
-		cfg:    cfg,
-		queue:  make(chan *request, cfg.MaxInflight),
-		fqueue: make(chan *frequest, cfg.MaxInflight),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		fdone:  make(chan struct{}),
-
-		mRequests:  cfg.Sink.Counter("serve", "", "requests"),
-		mForecasts: cfg.Sink.Counter("serve", "", "forecasts"),
-		mErrors:    cfg.Sink.Counter("serve", "", "errors"),
-		mReloads:   cfg.Sink.Counter("serve", "", "reloads"),
-		mBatches:   cfg.Sink.Counter("serve", "", "batches"),
-		gInflight:  cfg.Sink.Gauge("serve", "", "queue_depth"),
-		gFInflight: cfg.Sink.Gauge("serve", "", "forecast_queue_depth"),
-		hBatch:     cfg.Sink.Histogram("serve", "", "batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
-		hFBatch:    cfg.Sink.Histogram("serve", "", "forecast_batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
-		hQueueNS:   cfg.Sink.Histogram("serve", "", "queue_wait_ns", obs.TimeBuckets()),
-		hModelNS:   cfg.Sink.Histogram("serve", "", "model_ns", obs.TimeBuckets()),
-		hTotalNS:   cfg.Sink.Histogram("serve", "", "total_ns", obs.TimeBuckets()),
-
-		batchMats: make([]window.Matrix, 0, cfg.MaxBatch),
+	sink := cfg.Sink
+	sh := &shared{
+		cfg:      cfg,
+		stop:     make(chan struct{}),
+		mErrors:  sink.Counter("serve", "", "errors"),
+		mReloads: sink.Counter("serve", "", "reloads"),
+		mBatches: sink.Counter("serve", "", "batches"),
+		hQueueNS: sink.Histogram("serve", "", "queue_wait_ns", obs.TimeBuckets()),
+		hModelNS: sink.Histogram("serve", "", "model_ns", obs.TimeBuckets()),
+		hTotalNS: sink.Histogram("serve", "", "total_ns", obs.TimeBuckets()),
 	}
-	s.setFramework(fw)
+	s := &Server{shared: sh}
+	s.predictLane = &lane[*core.Framework, window.Matrix, prediction]{
+		shared: sh, name: "predict",
+		validate: validate, run: s.runPredict,
+		mCount: sink.Counter("serve", "", "requests"),
+		gDepth: sink.Gauge("serve", "", "queue_depth"),
+		hBatch: sink.Histogram("serve", "", "batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
+	}
+	s.forecastLane = &lane[*forecast.Forecaster, []window.Matrix, *forecast.Prediction]{
+		shared: sh, name: "forecast", noModel: ErrNoForecaster,
+		validate: validateHistory, run: runForecast,
+		mCount: sink.Counter("serve", "", "forecasts"),
+		gDepth: sink.Gauge("serve", "", "forecast_queue_depth"),
+		hBatch: sink.Histogram("serve", "", "forecast_batch_size", obs.LinearBuckets(1, 1, cfg.MaxBatch)),
+	}
+	s.predictLane.set(fw)
 	if cfg.Forecaster != nil {
-		s.setForecaster(cfg.Forecaster)
+		s.forecastLane.set(cfg.Forecaster)
 	}
-	go s.batcher()
-	go s.fbatcher()
+	s.predictLane.start()
+	s.forecastLane.start()
 	return s
-}
-
-// setFramework stamps the digest, then publishes the pointer (digest first,
-// so a concurrent reader never pairs a new framework with an old digest).
-func (s *Server) setFramework(fw *core.Framework) {
-	d := ml.WeightsDigest(fw.ExportWeights())
-	s.fwDigest.Store(&d)
-	s.fw.Store(fw)
-}
-
-func (s *Server) setForecaster(f *forecast.Forecaster) {
-	d := ml.WeightsDigest(f.ExportWeights())
-	s.fcDigest.Store(&d)
-	s.fc.Store(f)
 }
 
 // ModelDigest returns the served framework's weight digest — the model
 // version identity stamped on every /v1/predict reply and /v1/healthz.
-func (s *Server) ModelDigest() string { return *s.fwDigest.Load() }
+func (s *Server) ModelDigest() string { return s.predictLane.slot.Load().digest }
 
 // ForecasterDigest returns the served forecaster's weight digest, empty when
 // forecasting is disabled.
 func (s *Server) ForecasterDigest() string {
-	if d := s.fcDigest.Load(); d != nil {
-		return *d
+	if snap := s.forecastLane.slot.Load(); snap != nil {
+		return snap.digest
 	}
 	return ""
 }
 
 // Framework returns the currently served framework (hot-reload aware).
-func (s *Server) Framework() *core.Framework { return s.fw.Load() }
+func (s *Server) Framework() *core.Framework { return s.predictLane.slot.Load().model }
 
 // Forecaster returns the currently served forecaster, nil when forecasting
 // is not enabled.
-func (s *Server) Forecaster() *forecast.Forecaster { return s.fc.Load() }
+func (s *Server) Forecaster() *forecast.Forecaster {
+	if snap := s.forecastLane.slot.Load(); snap != nil {
+		return snap.model
+	}
+	return nil
+}
 
 // Shadow returns the attached shadow evaluator, nil when the server mirrors
 // no traffic.
@@ -259,99 +204,72 @@ func (s *Server) Stats() *obs.Snapshot { return s.cfg.Sink.Snapshot() }
 // whatever other requests are in flight. The returned probs slice is the
 // caller's to keep. Safe for any number of concurrent callers.
 func (s *Server) Predict(ctx context.Context, mat window.Matrix) (class int, probs []float64, err error) {
-	start := time.Now()
-	s.mRequests.Inc()
-	if err := validate(s.fw.Load(), mat); err != nil {
-		s.mErrors.Inc()
-		return 0, nil, err
-	}
-
-	// Admission gate: taken read-side so Shutdown can atomically flip
-	// stopping and then wait out everyone already admitted.
-	s.gateMu.RLock()
-	if s.stopping {
-		s.gateMu.RUnlock()
-		s.mErrors.Inc()
-		return 0, nil, ErrShuttingDown
-	}
-	s.inflight.Add(1)
-	s.gateMu.RUnlock()
-	defer s.inflight.Done()
-
-	req := &request{mat: mat, resp: make(chan response, 1), enq: start}
-	select {
-	case s.queue <- req:
-		s.gInflight.Set(float64(len(s.queue)))
-	default:
-		s.mErrors.Inc()
-		return 0, nil, fmt.Errorf("%w: queue full (%d)", ErrOverloaded, s.cfg.MaxInflight)
-	}
-	select {
-	case r := <-req.resp:
-		s.hTotalNS.Observe(float64(time.Since(start)))
-		return r.class, r.probs, nil
-	case <-ctx.Done():
-		// The batcher will still answer into the buffered channel; we just
-		// stop waiting.
-		s.mErrors.Inc()
-		return 0, nil, ctx.Err()
-	}
+	_, p, err := s.predictLane.submit(ctx, mat)
+	return p.class, p.probs, err
 }
 
 // Forecast predicts slowdown ahead of time from the last History raw window
-// matrices (oldest first), funneled through the forecast batcher the same way
-// Predict funnels through the prediction batcher. The returned Prediction is
-// the caller's to keep. Safe for any number of concurrent callers; returns
+// matrices (oldest first), batched through the forecast lane the same way
+// Predict batches through the predict lane. The returned Prediction is the
+// caller's to keep. Safe for any number of concurrent callers; returns
 // ErrNoForecaster when the server has no forecaster loaded.
 func (s *Server) Forecast(ctx context.Context, history []window.Matrix) (*forecast.Prediction, error) {
-	start := time.Now()
-	s.mForecasts.Inc()
-	fc := s.fc.Load()
-	if fc == nil {
-		s.mErrors.Inc()
-		return nil, ErrNoForecaster
-	}
-	if err := validateHistory(fc, history); err != nil {
-		s.mErrors.Inc()
-		return nil, err
-	}
+	_, p, err := s.forecastLane.submit(ctx, history)
+	return p, err
+}
 
-	s.gateMu.RLock()
-	if s.stopping {
-		s.gateMu.RUnlock()
-		s.mErrors.Inc()
-		return nil, ErrShuttingDown
-	}
-	s.inflight.Add(1)
-	s.gateMu.RUnlock()
-	defer s.inflight.Done()
-
-	req := &frequest{hist: history, resp: make(chan fresponse, 1), enq: start}
-	select {
-	case s.fqueue <- req:
-		s.gFInflight.Set(float64(len(s.fqueue)))
-	default:
-		s.mErrors.Inc()
-		return nil, fmt.Errorf("%w: forecast queue full (%d)", ErrOverloaded, s.cfg.MaxInflight)
-	}
-	select {
-	case r := <-req.resp:
-		if r.err != nil {
-			s.mErrors.Inc()
-			return nil, r.err
+// runPredict classifies one batch with one PredictBatch call. Each answer
+// is mirrored into the shadow tap before its reply is sent — one
+// non-blocking channel send or a counted drop — so a received reply
+// guarantees the evaluator can already see the event (the happens-before
+// edge the shadow determinism suite leans on) while the champion never
+// waits. Non-finite probabilities (an input beyond what the scaler can
+// represent) answer ErrBadInput and are not mirrored.
+func (s *Server) runPredict(fw *core.Framework, mats []window.Matrix, outs []reply[*core.Framework, prediction]) {
+	cls, probs := fw.PredictBatch(mats)
+	for i, mat := range mats {
+		if !finite(probs[i]) {
+			outs[i].err = fmt.Errorf("%w: class probabilities are not finite", ErrBadInput)
+			continue
 		}
-		s.hTotalNS.Observe(float64(time.Since(start)))
-		return r.pred, nil
-	case <-ctx.Done():
-		s.mErrors.Inc()
-		return nil, ctx.Err()
+		if s.cfg.Shadow != nil {
+			s.cfg.Shadow.Mirror(mat, cls[i])
+		}
+		// Copy out: the framework reuses its probability rows on the next
+		// batch, but the caller's slice must stay valid indefinitely.
+		outs[i].out = prediction{class: cls[i], probs: append([]float64(nil), probs[i]...)}
 	}
+}
+
+// runForecast answers one forecast batch. The Forecaster has no batched
+// entry point (each request carries a whole history), so the batch's value
+// is serializing scratch access and amortizing wakeups; predictions are
+// freshly allocated per request, so handing them to callers is safe.
+func runForecast(fc *forecast.Forecaster, hists [][]window.Matrix, outs []reply[*forecast.Forecaster, *forecast.Prediction]) {
+	for i, hist := range hists {
+		pred, err := fc.Predict(hist)
+		if err == nil && !finite(pred.Probs...) {
+			pred, err = nil, fmt.Errorf("%w: forecast probabilities are not finite", ErrBadInput)
+		}
+		outs[i].out, outs[i].err = pred, err
+	}
+}
+
+// finite reports whether every value in rows is a real number.
+func finite(rows ...[]float64) bool {
+	for _, row := range rows {
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Reload atomically swaps in the framework at path (Config.ModelPath when
 // empty) without disturbing in-flight requests: batches already cut keep the
-// framework pointer they loaded. Invalid files leave the old framework
-// serving.
+// framework they loaded. Invalid files leave the old framework serving.
 func (s *Server) Reload(path string) error {
 	if path == "" {
 		path = s.cfg.ModelPath
@@ -368,10 +286,10 @@ func (s *Server) Reload(path string) error {
 
 // ReloadFramework atomically swaps in an in-memory framework — the
 // programmatic sibling of Reload's file-based path (SIGHUP, POST
-// /admin/reload), used by the continuous-learning loop (internal/online) to
-// promote a gated candidate without a disk round-trip. Like Reload, the swap
-// never disturbs in-flight requests: batches already cut keep the framework
-// pointer they loaded, and each Framework owns its own scratch.
+// /v1/admin/reload), used by the continuous-learning loop (internal/online)
+// and the fleet coordinator to promote a candidate without a disk
+// round-trip. Batches already cut keep the snapshot they loaded, and each
+// Framework owns its own scratch, so the swap never disturbs them.
 //
 // Ownership of fw transfers to the server; the caller must not call its
 // Predict/PredictBatch afterwards (clone first if it needs an evaluation
@@ -381,44 +299,25 @@ func (s *Server) ReloadFramework(fw *core.Framework) error {
 	if fw == nil {
 		return errors.New("serve: reload of nil framework")
 	}
-	oldT, oldF := s.fw.Load().Dims()
-	newT, newF := fw.Dims()
-	if oldT != newT || oldF != newF {
-		return fmt.Errorf("serve: reload shape %dx%d does not match served %dx%d",
-			newT, newF, oldT, oldF)
-	}
-	s.setFramework(fw)
-	s.mReloads.Inc()
-	return nil
+	return s.predictLane.swap(fw)
 }
 
 // ReloadForecaster atomically swaps in a forecaster — what the
 // continuous-learning loop calls to promote a retrained sequence head, and
-// how a server started without one turns forecasting on. In-flight forecast
-// batches keep the pointer they loaded, so the swap never disturbs them.
-// Ownership of f transfers to the server. When a forecaster is already
-// serving, the replacement must read the same history length and raw feature
-// width; the first load is unconstrained.
+// how a server started without one turns forecasting on. Ownership of f
+// transfers to the server. When a forecaster is already serving, the
+// replacement must read the same history length and raw feature width; the
+// first load is unconstrained.
 func (s *Server) ReloadForecaster(f *forecast.Forecaster) error {
 	if f == nil {
 		return errors.New("serve: reload of nil forecaster")
 	}
-	if cur := s.fc.Load(); cur != nil {
-		oldH, oldF := cur.Dims()
-		newH, newF := f.Dims()
-		if oldH != newH || oldF != newF {
-			return fmt.Errorf("serve: forecaster shape %d windows x %d features does not match served %d x %d",
-				newH, newF, oldH, oldF)
-		}
-	}
-	s.setForecaster(f)
-	s.mReloads.Inc()
-	return nil
+	return s.forecastLane.swap(f)
 }
 
 // Shutdown gracefully stops the server: new requests are refused with
-// ErrShuttingDown, every admitted request is answered, then the batcher
-// exits. Returns ctx.Err() if the context expires first (the batcher is
+// ErrShuttingDown, every admitted request is answered, then both batchers
+// exit. Returns ctx.Err() if the context expires first (the batchers are
 // left running so stragglers still get answers). Idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.gateMu.Lock()
@@ -436,7 +335,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 	s.stopOnce.Do(func() { close(s.stop) })
-	for _, ch := range []<-chan struct{}{s.done, s.fdone} {
+	for _, ch := range []<-chan struct{}{s.predictLane.done, s.forecastLane.done} {
 		select {
 		case <-ch:
 		case <-ctx.Done():

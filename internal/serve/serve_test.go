@@ -131,9 +131,9 @@ func TestHTTPRoundTripWithReload(t *testing.T) {
 		t.Fatalf("reloads counter = %d, %v", v, ok)
 	}
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/"+APIVersion+"/stats", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "serve/batch_size") {
-		t.Fatalf("/stats = %d %s", rec.Code, rec.Body.String())
+		t.Fatalf("/v1/stats = %d %s", rec.Code, rec.Body.String())
 	}
 }
 

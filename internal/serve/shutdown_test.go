@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"quanterference/internal/core"
+	"quanterference/internal/forecast"
+	"quanterference/internal/monitor/window"
 	"quanterference/internal/obs"
 )
 
@@ -17,6 +20,14 @@ import (
 // be answered into its buffered channel exactly once: a drop would leak the
 // response a late reader expects, a double-send would block the batcher and
 // hang Shutdown. Run under -race in make verify.
+
+// enqueueAbandoned queues a call the way a ctx-canceled submit leaves it:
+// enqueued, caller gone, not registered with the inflight gate.
+func enqueueAbandoned[M model, Q, A any](l *lane[M, Q, A], in Q) *call[M, Q, A] {
+	c := &call[M, Q, A]{in: in, resp: make(chan reply[M, A], 1), enq: time.Now()}
+	l.queue <- c
+	return c
+}
 
 // histogram pulls one named serve histogram out of a snapshot.
 func histogram(t *testing.T, snap *obs.Snapshot, name string) obs.HistogramValue {
@@ -39,18 +50,15 @@ func TestShutdownFlushesPartialGather(t *testing.T) {
 	fw, mats := trainedFramework(t, 3, 5)
 	s := New(fw, Config{MaxBatch: 32, BatchWindow: time.Minute, MaxInflight: 64})
 
-	// Abandoned requests, injected the way a ctx-canceled Predict leaves
-	// them: enqueued, caller gone, not registered with the inflight gate.
 	const n = 5
-	reqs := make([]*request, n)
+	reqs := make([]*call[*core.Framework, window.Matrix, prediction], n)
 	for i := range reqs {
-		reqs[i] = &request{mat: mats[i%len(mats)], resp: make(chan response, 1), enq: time.Now()}
-		s.queue <- reqs[i]
+		reqs[i] = enqueueAbandoned(s.predictLane, mats[i%len(mats)])
 	}
 	// Wait until the batcher has pulled all n into its gather batch; the
 	// minute-long window then parks it until stop.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) > 0 {
+	for len(s.predictLane.queue) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("batcher never picked up the queue")
 		}
@@ -66,7 +74,7 @@ func TestShutdownFlushesPartialGather(t *testing.T) {
 	for i, req := range reqs {
 		select {
 		case r := <-req.resp:
-			if len(r.probs) != 2 {
+			if len(r.out.probs) != 2 {
 				t.Fatalf("request %d malformed response %+v", i, r)
 			}
 		default:
@@ -93,10 +101,9 @@ func TestShutdownDrainAnswersQueuedStragglers(t *testing.T) {
 	s := New(fw, Config{MaxBatch: 2, BatchWindow: time.Minute, MaxInflight: 64})
 
 	const n = 7
-	reqs := make([]*request, n)
+	reqs := make([]*call[*core.Framework, window.Matrix, prediction], n)
 	for i := range reqs {
-		reqs[i] = &request{mat: mats[i%len(mats)], resp: make(chan response, 1), enq: time.Now()}
-		s.queue <- reqs[i]
+		reqs[i] = enqueueAbandoned(s.predictLane, mats[i%len(mats)])
 	}
 	// Shut down immediately: no inflight callers, so stop closes while most
 	// (racily, possibly all) of the queue is still unclaimed.
@@ -109,7 +116,7 @@ func TestShutdownDrainAnswersQueuedStragglers(t *testing.T) {
 	for i, req := range reqs {
 		select {
 		case r := <-req.resp:
-			if len(r.probs) != 2 {
+			if len(r.out.probs) != 2 {
 				t.Fatalf("straggler %d malformed response %+v", i, r)
 			}
 		default:
@@ -141,13 +148,12 @@ func TestShutdownForecastStragglers(t *testing.T) {
 	s := New(fw, Config{Forecaster: fc, MaxBatch: 32, BatchWindow: time.Minute, MaxInflight: 64})
 	hists := testHistories(5, 4, 3, 5)
 
-	reqs := make([]*frequest, len(hists))
+	reqs := make([]*call[*forecast.Forecaster, []window.Matrix, *forecast.Prediction], len(hists))
 	for i := range reqs {
-		reqs[i] = &frequest{hist: hists[i], resp: make(chan fresponse, 1), enq: time.Now()}
-		s.fqueue <- reqs[i]
+		reqs[i] = enqueueAbandoned(s.forecastLane, hists[i])
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.fqueue) > 0 {
+	for len(s.forecastLane.queue) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("forecast batcher never picked up the queue")
 		}
@@ -163,7 +169,7 @@ func TestShutdownForecastStragglers(t *testing.T) {
 	for i, req := range reqs {
 		select {
 		case r := <-req.resp:
-			if r.err != nil || r.pred == nil || len(r.pred.Horizons) != 2 {
+			if r.err != nil || r.out == nil || len(r.out.Horizons) != 2 {
 				t.Fatalf("forecast straggler %d: %+v", i, r)
 			}
 		default:
