@@ -7,6 +7,7 @@ package quanterference_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -347,21 +348,18 @@ func BenchmarkKernelModelTrainStep(b *testing.B) {
 }
 
 // BenchmarkTrainEpoch measures one training epoch over 256 samples at each
-// worker count. The serial case is the legacy non-sharded loop (Workers: 0);
-// every Workers >= 1 case runs the sharded path and produces bit-identical
-// weights, so the sweep isolates the cost/benefit of data parallelism alone.
+// GOMAXPROCS, the trainer's shard fan-out limit. Weights are bit-identical
+// at every setting, so the sweep isolates the cost/benefit of data
+// parallelism alone; workers=1 runs every shard on the calling goroutine.
 func BenchmarkTrainEpoch(b *testing.B) {
 	ds := syntheticDataset(256)
-	for _, w := range []int{0, 1, 2, 4, 8} {
-		name := "serial"
-		if w > 0 {
-			name = fmt.Sprintf("workers=%d", w)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ml.Train(m, ds, ml.TrainConfig{Epochs: 1, Seed: int64(i), Workers: w})
+				ml.Train(m, ds, ml.TrainConfig{Epochs: 1, Seed: int64(i)})
 			}
 		})
 	}

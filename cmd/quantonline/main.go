@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	quantonline -smoke [-seed 42] [-epochs 25] [-workers 2] [-gate-margin -2]
+//	quantonline -smoke [-seed 42] [-epochs 25] [-gate-margin -2]
 //
 // The episode is deterministic: the same seed prints the same decision
 // timeline and promotes bit-identical weights. `make online-smoke` runs it.
@@ -26,7 +26,6 @@ var (
 	smoke      = flag.Bool("smoke", false, "run the deterministic end-to-end smoke episode")
 	seed       = flag.Int64("seed", 42, "episode seed (simulation, training, loop)")
 	epochs     = flag.Int("epochs", 25, "epochs for initial training and every retrain")
-	workers    = flag.Int("workers", 2, "parallel training workers (deterministic for any value)")
 	gateMargin = flag.Float64("gate-margin", -2, "gate margin of the forced-reject phase (negative demands improvement; -2 rejects everything)")
 	verbose    = flag.Bool("v", true, "print per-phase progress")
 )
@@ -47,7 +46,6 @@ func main() {
 	res, err := online.SmokeEpisode(context.Background(), online.SmokeConfig{
 		Seed:         *seed,
 		Epochs:       *epochs,
-		Workers:      *workers,
 		RejectMargin: *gateMargin,
 		Log:          logf,
 	})

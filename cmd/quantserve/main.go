@@ -38,6 +38,11 @@ import (
 	"quanterference/internal/sim"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that trickles them in cannot hold a server
+// goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 var (
 	model       = flag.String("model", "framework.json", "framework file from quanttrain -save")
 	forecastF   = flag.String("forecast", "", "optional forecaster file; enables /forecast")
@@ -77,7 +82,7 @@ func main() {
 		ModelPath:   *model,
 		Forecaster:  fc,
 	})
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)

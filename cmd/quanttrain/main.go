@@ -31,7 +31,6 @@ var (
 	flat     = flag.Bool("flat", false, "use the flat-MLP ablation baseline instead of the kernel model")
 	seed     = flag.Int64("seed", 42, "random seed for split and init")
 	savePath = flag.String("save", "", "persist the trained framework (model + scaler + bins) to this file")
-	workers  = flag.Int("train-workers", 0, "data-parallel gradient workers (0 = serial legacy path; weights are identical for any value >= 1)")
 	pprofAdr = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 )
 
@@ -68,7 +67,7 @@ func main() {
 	fw, cm, err := core.TrainFrameworkE(ds, core.FrameworkConfig{
 		Bins: bins, Seed: *seed, Flat: *flat,
 		Train: ml.TrainConfig{
-			Epochs: *epochs, Seed: *seed, Workers: *workers,
+			Epochs: *epochs, Seed: *seed,
 			OnEpoch: func(e int, loss float64) {
 				if (e+1)%10 == 0 {
 					fmt.Printf("  epoch %3d  loss %.4f\n", e+1, loss)

@@ -157,9 +157,9 @@ func weightsFingerprint(m ml.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenSerialWeights pins the serial training path's arithmetic: the
-// scratch-buffer scheme must yield bit-identical weights to the
-// pre-scratch implementation.
+// TestGoldenSerialWeights pins the training loop's arithmetic: the sharded
+// gradient schedule and the scratch-buffer scheme must keep yielding these
+// exact weights and loss, at any GOMAXPROCS.
 func TestGoldenSerialWeights(t *testing.T) {
 	ds := syntheticDataset(96)
 	m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})

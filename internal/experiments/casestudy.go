@@ -260,13 +260,16 @@ func caseStudyRunPredictive(cfg CaseStudyConfig, fw *core.Framework) (sim.Time, 
 	cl, start, interfBytes, done, _ := caseStudySetup(cfg, true, func(rec workload.Record) {
 		ctrl.Record(rec)
 	})
-	victims := make([]*lustre.Client, 0, len(interferenceNodesCS))
+	victims := make([]mitigate.Victim, 0, len(interferenceNodesCS))
 	for _, node := range interferenceNodesCS {
-		victims = append(victims, cl.FS.Client(node))
+		victims = append(victims, mitigate.Victim{Client: cl.FS.Client(node)})
 	}
-	ctrl, err := mitigate.New(cl, fw, victims, sim.Second, mitigate.Config{
-		ThrottleBps: cfg.ThrottleBps,
-	})
+	policy, err := mitigate.NewReactiveThrottle()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: mitigation policy: %v", err))
+	}
+	ctrl, err = mitigate.NewController(cl, fw, victims, sim.Second, policy,
+		mitigate.WithThrottleBps(cfg.ThrottleBps))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: mitigation controller: %v", err))
 	}

@@ -11,6 +11,7 @@ import (
 	"quanterference/internal/forecast"
 	"quanterference/internal/label"
 	"quanterference/internal/lustre"
+	"quanterference/internal/ml"
 	"quanterference/internal/monitor/window"
 	"quanterference/internal/nn"
 	"quanterference/internal/sim"
@@ -37,6 +38,7 @@ func (m thresholdModel) Predict(vectors [][]float64) int {
 }
 func (thresholdModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
 func (thresholdModel) Params() []nn.Param                            { return nil }
+func (m thresholdModel) Replica() ml.Model                           { return m }
 
 // stubFramework wraps the threshold model with an identity scaler.
 func stubFramework() *core.Framework {
@@ -52,12 +54,22 @@ func stubFramework() *core.Framework {
 	}
 }
 
-// mustNew is New for tests with configs that must be valid.
-func mustNew(t *testing.T, cl *core.Cluster, fw *core.Framework, victims []*lustre.Client, windowSize sim.Time, cfg Config) *Controller {
+// mustNew attaches a one-second-window controller over the stub framework
+// whose ReactiveThrottle policy (built from policyOpts) throttles victims,
+// for tests whose options must be valid.
+func mustNew(t *testing.T, cl *core.Cluster, victims []*lustre.Client, policyOpts []PolicyOption, opts ...ControllerOption) *Controller {
 	t.Helper()
-	ctrl, err := New(cl, fw, victims, windowSize, cfg)
+	policy, err := NewReactiveThrottle(policyOpts...)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewReactiveThrottle: %v", err)
+	}
+	vs := make([]Victim, len(victims))
+	for i, c := range victims {
+		vs[i] = Victim{Client: c}
+	}
+	ctrl, err := NewController(cl, stubFramework(), vs, sim.Second, policy, opts...)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
 	}
 	return ctrl
 }
@@ -75,11 +87,9 @@ func readRecord(windowIdx, seq int) workload.Record {
 
 func TestControllerEngagesAndReleases(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	fw := stubFramework()
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, fw, []*lustre.Client{victim}, sim.Second, Config{
-		ThrottleBps: 1e6, ReleaseAfter: 2,
-	})
+	ctrl := mustNew(t, cl, []*lustre.Client{victim},
+		[]PolicyOption{WithReleaseAfter(2)}, WithThrottleBps(1e6))
 	// Windows 0 and 1 look interfered (10 reads each); windows 2+ are
 	// clean (no records).
 	for w := 0; w < 2; w++ {
@@ -122,8 +132,8 @@ func TestControllerEngagesAndReleases(t *testing.T) {
 
 func TestControllerReEngages(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{cl.FS.Client("c1")}, sim.Second,
-		Config{ReleaseAfter: 1})
+	ctrl := mustNew(t, cl, []*lustre.Client{cl.FS.Client("c1")},
+		[]PolicyOption{WithReleaseAfter(1)})
 	// Hot window 0, clean 1, hot 2.
 	for s := 0; s < 10; s++ {
 		ctrl.Record(readRecord(0, s))
@@ -142,54 +152,30 @@ func TestControllerReEngages(t *testing.T) {
 	ctrl.Stop()
 }
 
-// Regression: EngageClass 0 used to be silently rewritten to 1 by
-// applyDefaults, making "engage on every prediction" impossible to request.
-// The EngageAlways sentinel now maps to a real threshold of 0 — and ONLY the
-// sentinel: any other negative value (a typo'd -5) used to silently become
-// the always-throttle configuration and must now be rejected.
-func TestEngageAlwaysSentinel(t *testing.T) {
-	cases := []struct {
-		name string
-		in   int
-		want int
-	}{
-		{"zero-means-default", 0, 1},
-		{"explicit-class", 2, 2},
-		{"engage-always", EngageAlways, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{EngageClass: tc.in}
-			if err := cfg.validate(); err != nil {
-				t.Fatalf("validate rejected legal EngageClass %d: %v", tc.in, err)
-			}
-			cfg.applyDefaults()
-			if cfg.EngageClass != tc.want {
-				t.Fatalf("EngageClass %d defaulted to %d, want %d", tc.in, cfg.EngageClass, tc.want)
-			}
-		})
-	}
-}
-
-// TestNewRejectsInvalidConfig pins the typed-error contract: New refuses
-// negative engage classes other than the sentinel (and negative rates), with
-// an error matching ErrInvalidConfig.
+// TestNewRejectsInvalidConfig pins NewController's typed-error contract: a
+// negative throttle rate or a nil policy is refused with an error matching
+// ErrInvalidConfig. Policy option validation lives in
+// TestPolicyOptionValidation.
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
+	reactive, err := NewReactiveThrottle()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name string
-		cfg  Config
+		name   string
+		policy Policy
+		opts   []ControllerOption
 	}{
-		{"typoed-engage-class", Config{EngageClass: -5}},
-		{"negative-throttle", Config{ThrottleBps: -1}},
-		{"negative-release", Config{ReleaseAfter: -2}},
+		{"negative-throttle", reactive, []ControllerOption{WithThrottleBps(-1)}},
+		{"nil-policy", nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := New(cl, stubFramework(), nil, sim.Second, tc.cfg)
+			ctrl, err := NewController(cl, stubFramework(), nil, sim.Second, tc.policy, tc.opts...)
 			if err == nil {
 				ctrl.Stop()
-				t.Fatalf("New accepted %+v", tc.cfg)
+				t.Fatal("NewController accepted an invalid configuration")
 			}
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("error %v does not match ErrInvalidConfig", err)
@@ -201,12 +187,11 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 func TestEngageAlwaysThrottlesOnCleanPredictions(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{victim}, sim.Second,
-		Config{EngageClass: EngageAlways})
-	// Class-0 prediction: an EngageAlways controller must still throttle.
+	ctrl := mustNew(t, cl, []*lustre.Client{victim}, []PolicyOption{WithEngageClass(0)})
+	// Class-0 prediction: an engage-class-0 controller must still throttle.
 	ctrl.decide(cl.Eng.Now(), 0, 0)
 	if !ctrl.Engaged() || !victim.RateLimited() {
-		t.Fatal("EngageAlways controller ignored a class-0 prediction")
+		t.Fatal("engage-class-0 controller ignored a class-0 prediction")
 	}
 	ctrl.Stop()
 }
@@ -214,7 +199,7 @@ func TestEngageAlwaysThrottlesOnCleanPredictions(t *testing.T) {
 func TestControllerStopRemovesLimits(t *testing.T) {
 	cl := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
 	victim := cl.FS.Client("c1")
-	ctrl := mustNew(t, cl, stubFramework(), []*lustre.Client{victim}, sim.Second, Config{})
+	ctrl := mustNew(t, cl, []*lustre.Client{victim}, nil)
 	ctrl.decide(cl.Eng.Now(), 0, 1)
 	if !victim.RateLimited() {
 		t.Fatal("engage did not limit victim")
@@ -248,6 +233,7 @@ func (m fcMaxModel) Predict(vectors [][]float64) int {
 }
 func (fcMaxModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
 func (fcMaxModel) Params() []nn.Param                            { return nil }
+func (m fcMaxModel) Replica() ml.Model                           { return m }
 
 // stubForecaster wires fcMaxModel as a single 2-window-ahead head with an
 // identity scaler over the pooled width.
@@ -312,7 +298,7 @@ func TestControllerProactiveEngagesAheadOfClassifier(t *testing.T) {
 	// A reactive controller over the identical stream must stay disengaged —
 	// the proactive win is real lead time, not a lower threshold.
 	clR := core.NewCluster(lustre.PaperTopology(), lustre.Config{})
-	ctrlR := mustNew(t, clR, stubFramework(), []*lustre.Client{clR.FS.Client("c1")}, sim.Second, Config{})
+	ctrlR := mustNew(t, clR, []*lustre.Client{clR.FS.Client("c1")}, nil)
 	for w := 0; w < 2; w++ {
 		for s := 0; s < 4; s++ {
 			ctrlR.Record(readRecord(w, s))

@@ -32,7 +32,7 @@ type AttentionModel struct {
 	params []nn.Param // lazily cached Params() slice
 }
 
-// Replica implements Replicable: the returned model shares every weight
+// Replica implements Model: the returned model shares every weight
 // tensor with m but owns private gradients, caches, and scratch.
 func (m *AttentionModel) Replica() Model {
 	return &AttentionModel{
@@ -264,5 +264,3 @@ func (m *AttentionModel) Params() []nn.Param {
 	}
 	return m.params
 }
-
-var _ Replicable = (*AttentionModel)(nil)

@@ -84,44 +84,50 @@ func TestDims(t *testing.T) {
 	}
 }
 
-// TestTrainCtxCancellation: a cancelled context stops the epoch loop on both
-// training paths, and an uncancelled TrainCtx matches Train bit-for-bit.
+// TestTrainCtxCancellation: a cancelled context stops the epoch loop whether
+// the gradient shards run on the calling goroutine (GOMAXPROCS=1) or fan
+// out, and an uncancelled TrainCtx matches Train bit-for-bit.
 func TestTrainCtxCancellation(t *testing.T) {
 	ds := inferTestDataset(32)
-	for _, workers := range []int{0, 2} {
-		newM := func() *KernelModel {
-			return NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 9})
-		}
-		// Cancel after 2 epochs via OnEpoch.
-		ctx, cancel := context.WithCancel(context.Background())
-		epochs := 0
-		_, err := TrainCtx(ctx, newM(), ds, TrainConfig{
-			Epochs: 50, Seed: 1, Workers: workers,
-			OnEpoch: func(epoch int, loss float64) {
-				epochs++
-				if epoch == 1 {
-					cancel()
-				}
-			},
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if epochs != 2 {
-			t.Fatalf("workers=%d: ran %d epochs after cancel at epoch 1", workers, epochs)
-		}
-		// Uncancelled: identical weights to Train.
-		a, b := newM(), newM()
-		Train(a, ds, TrainConfig{Epochs: 3, Seed: 1, Workers: workers})
-		if _, err := TrainCtx(context.Background(), b, ds, TrainConfig{Epochs: 3, Seed: 1, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		pa, pb := a.Params(), b.Params()
-		for i := range pa {
-			for j := range pa[i].W {
-				if math.Float64bits(pa[i].W[j]) != math.Float64bits(pb[i].W[j]) {
-					t.Fatalf("workers=%d: weights diverge at param %d[%d]", workers, i, j)
-				}
+	for _, procs := range []int{1, 2} {
+		withGOMAXPROCS(procs, func() { checkTrainCtxCancellation(t, ds, procs) })
+	}
+}
+
+func checkTrainCtxCancellation(t *testing.T, ds *dataset.Dataset, procs int) {
+	t.Helper()
+	newM := func() *KernelModel {
+		return NewKernelModel(KernelConfig{NTargets: 3, NFeat: 6, Classes: 2, Seed: 9})
+	}
+	// Cancel after 2 epochs via OnEpoch.
+	ctx, cancel := context.WithCancel(context.Background())
+	epochs := 0
+	_, err := TrainCtx(ctx, newM(), ds, TrainConfig{
+		Epochs: 50, Seed: 1,
+		OnEpoch: func(epoch int, loss float64) {
+			epochs++
+			if epoch == 1 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
+	}
+	if epochs != 2 {
+		t.Fatalf("GOMAXPROCS=%d: ran %d epochs after cancel at epoch 1", procs, epochs)
+	}
+	// Uncancelled: identical weights to Train.
+	a, b := newM(), newM()
+	Train(a, ds, TrainConfig{Epochs: 3, Seed: 1})
+	if _, err := TrainCtx(context.Background(), b, ds, TrainConfig{Epochs: 3, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := a.Params(), b.Params()
+	for i := range pa {
+		for j := range pa[i].W {
+			if math.Float64bits(pa[i].W[j]) != math.Float64bits(pb[i].W[j]) {
+				t.Fatalf("GOMAXPROCS=%d: weights diverge at param %d[%d]", procs, i, j)
 			}
 		}
 	}

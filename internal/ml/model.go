@@ -2,9 +2,9 @@
 // (§III-C): a shared dense network applied independently to each per-server
 // vector, whose scalar outputs are concatenated and fed to a small MLP head
 // for multi-bin classification. It also provides a flat-MLP baseline (for
-// the architecture ablation), an attention extension, the training loop
-// (serial, or data-parallel with deterministic gradient reduction), and
-// evaluation metrics (confusion matrices, precision/recall/F1).
+// the architecture ablation), an attention extension, the data-parallel
+// training loop (deterministic gradient reduction), and evaluation metrics
+// (confusion matrices, precision/recall/F1).
 package ml
 
 import (
@@ -25,6 +25,11 @@ type Model interface {
 	LossAndGrad(vectors [][]float64, label int, weight float64) float64
 	// Params exposes the trainable parameters.
 	Params() []nn.Param
+	// Replica returns a weight-sharing replica for data-parallel training:
+	// it shares the original's weight slices but owns private gradient
+	// accumulators and scratch state, so replicas may run LossAndGrad
+	// concurrently as long as weights are only updated between batches.
+	Replica() Model
 }
 
 // BatchPredictor is a Model with an allocation-free inference path for the
@@ -52,18 +57,6 @@ func Dims(m Model) (nTargets, nFeat, classes int, ok bool) {
 		return t.nTargets, t.nFeat, t.classes, true
 	}
 	return 0, 0, 0, false
-}
-
-// Replicable is a Model that can produce weight-sharing replicas for
-// data-parallel training (TrainConfig.Workers): a replica shares the
-// original's weight slices but owns private gradient accumulators and
-// scratch state, so replicas may run LossAndGrad concurrently as long as
-// weights are only updated between batches. All models in this package
-// implement it.
-type Replicable interface {
-	Model
-	// Replica returns a weight-sharing replica; see the interface comment.
-	Replica() Model
 }
 
 // KernelModel is the paper's architecture. Because the kernel network's
@@ -135,7 +128,7 @@ func newKernelModel(kernel, head *nn.Sequential, nTargets, nFeat, classes int) *
 	return m
 }
 
-// Replica implements Replicable.
+// Replica implements Model.
 func (m *KernelModel) Replica() Model {
 	return newKernelModel(m.Kernel.Replica(), m.Head.Replica(),
 		m.nTargets, m.nFeat, m.classes)
@@ -247,7 +240,7 @@ func newFlatModel(net *nn.Sequential, nTargets, nFeat, classes int) *FlatModel {
 	return m
 }
 
-// Replica implements Replicable.
+// Replica implements Model.
 func (m *FlatModel) Replica() Model {
 	return newFlatModel(m.Net.Replica(), m.nTargets, m.nFeat, m.classes)
 }
@@ -303,7 +296,5 @@ func argmax(xs []float64) int {
 	return best
 }
 
-var _ Replicable = (*KernelModel)(nil)
-var _ Replicable = (*FlatModel)(nil)
 var _ BatchPredictor = (*KernelModel)(nil)
 var _ BatchPredictor = (*FlatModel)(nil)

@@ -79,3 +79,4 @@ func (fakeModel) Predict([][]float64) int                       { return 0 }
 func (fakeModel) Probs([][]float64) []float64                   { return nil }
 func (fakeModel) LossAndGrad([][]float64, int, float64) float64 { return 0 }
 func (fakeModel) Params() []nn.Param                            { return nil }
+func (m fakeModel) Replica() Model                              { return m }

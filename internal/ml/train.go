@@ -12,12 +12,12 @@ import (
 )
 
 // gradShards is the fixed number of gradient shards a mini-batch is split
-// into on the data-parallel path. The shard partition and the reduction
-// tree depend only on this constant and the batch length — never on the
-// worker count — which is what makes trained weights bit-identical across
-// TrainConfig.Workers values. Four shards keeps the per-batch reduction
-// (shard-count accumulate+zero passes over every parameter) cheap relative
-// to the gradient work in each shard at the default batch size of 32.
+// into. The shard partition and the reduction tree depend only on this
+// constant and the batch length — never on how many shards run at once —
+// which is what makes trained weights bit-identical for any GOMAXPROCS.
+// Four shards keeps the per-batch reduction (shard-count accumulate+zero
+// passes over every parameter) cheap relative to the gradient work in each
+// shard at the default batch size of 32.
 const gradShards = 4
 
 // TrainConfig controls the training loop.
@@ -29,16 +29,6 @@ type TrainConfig struct {
 	// BalanceClasses weights each sample inversely to its class frequency
 	// (the datasets are imbalanced, e.g. DLIO is ~4:1 negative).
 	BalanceClasses bool
-	// Workers selects the training path. 0 (the default) is the legacy
-	// serial loop, kept bit-identical to previous releases. Any value >= 1
-	// uses the data-parallel sharded path: each mini-batch is split into
-	// gradShards fixed sample ranges, one weight-sharing model replica
-	// computes each shard's gradient, and shard gradients are combined by a
-	// fixed-order pairwise tree reduction. Weights are bit-identical for
-	// every Workers value (1 runs the same shard schedule on the calling
-	// goroutine); only wall-clock time changes. Models that do not
-	// implement Replicable fall back to the serial loop.
-	Workers int
 	// OnEpoch, when set, receives the mean training loss after each epoch.
 	OnEpoch func(epoch int, loss float64)
 }
@@ -75,81 +65,30 @@ func classWeights(train *dataset.Dataset, balance bool) []float64 {
 // Train fits the model on the dataset with Adam and mini-batches.
 // It returns the final mean training loss.
 //
-// With cfg.Workers >= 1 and a Replicable model, gradient computation is
-// data-parallel with a deterministic reduction; see TrainConfig.Workers for
-// the exact contract. Both paths consume the same RNG stream, so they see
-// identical shuffles; they differ only in gradient summation order.
+// Gradient computation is data-parallel with a deterministic reduction:
+// each mini-batch is split into gradShards fixed sample ranges, one
+// weight-sharing model replica (Model.Replica) computes each shard's
+// gradient, up to par.Workers() shards run at once, and shard gradients
+// are combined by a fixed-order pairwise tree reduction. Every
+// floating-point summation order is a function of the batch length alone,
+// so weights are bit-identical for any GOMAXPROCS; only wall-clock time
+// changes.
 func Train(m Model, train *dataset.Dataset, cfg TrainConfig) float64 {
 	loss, _ := TrainCtx(context.Background(), m, train, cfg)
 	return loss
 }
 
-// TrainCtx is Train with cancellation: the epoch loop (on both the serial
-// and the data-parallel path) checks ctx before each epoch and returns
-// ctx.Err() with the loss so far when the context is done. Epochs that ran
-// are exactly the epochs Train would have run — cancellation never perturbs
-// the RNG stream or the gradient arithmetic, so an uncancelled TrainCtx is
-// bit-identical to Train.
+// TrainCtx is Train with cancellation: the epoch loop checks ctx before each
+// epoch and returns ctx.Err() with the loss so far when the context is done.
+// Epochs that ran are exactly the epochs Train would have run — cancellation
+// never perturbs the RNG stream or the gradient arithmetic, so an
+// uncancelled TrainCtx is bit-identical to Train.
 func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainConfig) (float64, error) {
 	cfg.applyDefaults()
 	if train.Len() == 0 {
 		panic("ml: empty training set")
 	}
 	weights := classWeights(train, cfg.BalanceClasses)
-	if cfg.Workers >= 1 {
-		if r, ok := m.(Replicable); ok {
-			return trainSharded(ctx, r, train, cfg, weights)
-		}
-	}
-	opt := nn.NewAdam(cfg.LR)
-	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return lastLoss, err
-		}
-		perm := rng.Perm(train.Len())
-		var epochLoss float64
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			for _, idx := range perm[start:end] {
-				s := train.Samples[idx]
-				epochLoss += m.LossAndGrad(s.Vectors, s.Label, weights[s.Label])
-			}
-			opt.Step(m.Params(), 1/float64(end-start))
-		}
-		lastLoss = epochLoss / float64(train.Len())
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, lastLoss)
-		}
-	}
-	return lastLoss, nil
-}
-
-// shardBounds splits n samples into ns shards by ceiling division and
-// returns shard s's [lo, hi) range (possibly empty for trailing shards).
-func shardBounds(n, ns, s int) (int, int) {
-	size := (n + ns - 1) / ns
-	lo := s * size
-	hi := lo + size
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// trainSharded is the data-parallel gradient path: per-shard model replicas
-// fan out via par.MapN, then a fixed-order pairwise tree combines shard
-// gradients and losses. All floating-point summation orders are functions
-// of the batch length alone, so weights are bit-identical for any
-// cfg.Workers >= 1.
-func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg TrainConfig, weights []float64) (float64, error) {
 	opt := nn.NewAdam(cfg.LR)
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
 	mainParams := m.Params()
@@ -179,7 +118,7 @@ func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg
 			}
 			// Each shard accumulates into its own replica: no shared
 			// mutable state between workers until the barrier below.
-			par.MapN(ns, cfg.Workers, func(s int) {
+			par.Map(ns, func(s int) {
 				lo, hi := shardBounds(len(batch), ns, s)
 				rep := replicas[s]
 				var loss float64
@@ -208,6 +147,21 @@ func trainSharded(ctx context.Context, m Replicable, train *dataset.Dataset, cfg
 		}
 	}
 	return lastLoss, nil
+}
+
+// shardBounds splits n samples into ns shards by ceiling division and
+// returns shard s's [lo, hi) range (possibly empty for trailing shards).
+func shardBounds(n, ns, s int) (int, int) {
+	size := (n + ns - 1) / ns
+	lo := s * size
+	hi := lo + size
+	if lo > n {
+		lo = n
+	}
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
 }
 
 // Confusion is a square confusion matrix: M[true][pred].

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"quanterference/internal/dataset"
@@ -40,21 +41,30 @@ func weightBits(m Model) []uint64 {
 	return out
 }
 
-// trainWithWorkers trains a fresh model of the given constructor with the
-// given worker count and returns the final weights' bit patterns and loss.
-func trainWithWorkers(t *testing.T, mk func() Model, ds *dataset.Dataset, workers int) ([]uint64, uint64) {
-	t.Helper()
+// withGOMAXPROCS runs fn with runtime.GOMAXPROCS set to n, the trainer's
+// shard fan-out limit, and restores the previous setting. Callers must not
+// run in parallel with other tests.
+func withGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// trainWithProcs trains a fresh model of the given constructor at the given
+// GOMAXPROCS and returns the final weights' bit patterns and loss.
+func trainWithProcs(mk func() Model, ds *dataset.Dataset, procs int) ([]uint64, uint64) {
 	m := mk()
-	loss := Train(m, ds, TrainConfig{
-		Epochs: 3, Batch: 20, Seed: 99, BalanceClasses: true, Workers: workers,
+	var loss float64
+	withGOMAXPROCS(procs, func() {
+		loss = Train(m, ds, TrainConfig{Epochs: 3, Batch: 20, Seed: 99, BalanceClasses: true})
 	})
 	return weightBits(m), math.Float64bits(loss)
 }
 
 // TestParallelTrainingDeterministic is the load-bearing determinism
 // regression: the sharded trainer must produce bit-identical weights and
-// losses for every worker count, including the degenerate 1-worker
-// schedule, for every replicable model architecture.
+// losses at every GOMAXPROCS, including the degenerate single-proc schedule
+// that runs every shard on the calling goroutine, for every model
+// architecture.
 func TestParallelTrainingDeterministic(t *testing.T) {
 	ds := parallelTestDataset(110, 5, 9, 3) // odd sizes exercise ragged shards
 	models := map[string]func() Model{
@@ -70,19 +80,19 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 	}
 	for name, mk := range models {
 		t.Run(name, func(t *testing.T) {
-			refW, refLoss := trainWithWorkers(t, mk, ds, 1)
-			for _, workers := range []int{2, 4, 8} {
-				gotW, gotLoss := trainWithWorkers(t, mk, ds, workers)
+			refW, refLoss := trainWithProcs(mk, ds, 1)
+			for _, procs := range []int{2, 4, 8} {
+				gotW, gotLoss := trainWithProcs(mk, ds, procs)
 				if gotLoss != refLoss {
-					t.Errorf("workers=%d: loss bits %x != serial %x", workers, gotLoss, refLoss)
+					t.Errorf("GOMAXPROCS=%d: loss bits %x != GOMAXPROCS=1 %x", procs, gotLoss, refLoss)
 				}
 				if len(gotW) != len(refW) {
-					t.Fatalf("workers=%d: %d weights, want %d", workers, len(gotW), len(refW))
+					t.Fatalf("GOMAXPROCS=%d: %d weights, want %d", procs, len(gotW), len(refW))
 				}
 				for i := range gotW {
 					if gotW[i] != refW[i] {
-						t.Fatalf("workers=%d: weight %d bits %x != serial %x",
-							workers, i, gotW[i], refW[i])
+						t.Fatalf("GOMAXPROCS=%d: weight %d bits %x != GOMAXPROCS=1 %x",
+							procs, i, gotW[i], refW[i])
 					}
 				}
 			}
@@ -114,7 +124,7 @@ func TestParallelTrainingLearns(t *testing.T) {
 	}
 	m := NewKernelModel(KernelConfig{NTargets: nTargets, NFeat: nFeat, Classes: 2, Seed: 3})
 	var first, last float64
-	Train(m, ds, TrainConfig{Epochs: 15, Seed: 8, Workers: 4,
+	Train(m, ds, TrainConfig{Epochs: 15, Seed: 8,
 		OnEpoch: func(epoch int, loss float64) {
 			if epoch == 0 {
 				first = loss

@@ -22,17 +22,17 @@
 //     stack depth — in a training loop, until the next sample.
 //
 // Every model in internal/ml (kernel, flat, attention, regressor) satisfies
-// this by construction. Buffer reuse changes no arithmetic: serial training
+// this by construction. Buffer reuse changes no arithmetic: training
 // produces bit-identical weights to the pre-pooling implementation.
 //
 // # Replicas
 //
-// Data-parallel training (internal/ml's TrainConfig.Workers) runs one model
-// replica per gradient shard. Dense.Replica, ReLU.Replica, and
-// Sequential.Replica return layers that share the trainable weight slices
-// with the original but own private gradient accumulators, caches, and
-// scratch pools, so replicas may run forward/backward concurrently as long
-// as weights are only updated between batches.
+// Data-parallel training (internal/ml's Train) runs one model replica per
+// gradient shard. Dense.Replica, ReLU.Replica, and Sequential.Replica return
+// layers that share the trainable weight slices with the original but own
+// private gradient accumulators, caches, and scratch pools, so replicas may
+// run forward/backward concurrently as long as weights are only updated
+// between batches.
 package nn
 
 import (

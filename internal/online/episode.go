@@ -24,10 +24,9 @@ type SmokeConfig struct {
 	// Seed drives the whole episode (simulation, training, loop); two runs
 	// with the same seed produce identical Timeline and PromotedWeights.
 	Seed int64
-	// Epochs and Workers configure both the initial training and every
-	// retrain (defaults 25 and 2).
-	Epochs  int
-	Workers int
+	// Epochs configures both the initial training and every retrain
+	// (default 25).
+	Epochs int
 	// RejectMargin is the gate margin of the forced-reject phase; the
 	// default -2 is an impossible bar (see GateConfig.Margin).
 	RejectMargin float64
@@ -44,9 +43,6 @@ func (c *SmokeConfig) applyDefaults() {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 25
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
 	}
 	if c.RejectMargin == 0 {
 		c.RejectMargin = -2
@@ -170,7 +166,7 @@ func SmokeEpisode(ctx context.Context, cfg SmokeConfig) (*SmokeResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("online: smoke collect: %w", err)
 	}
-	train := ml.TrainConfig{Epochs: cfg.Epochs, Workers: cfg.Workers}
+	train := ml.TrainConfig{Epochs: cfg.Epochs}
 	fw, conf, err := core.TrainFrameworkCtx(ctx, ds, core.FrameworkConfig{Seed: cfg.Seed, Train: train})
 	if err != nil {
 		return nil, fmt.Errorf("online: smoke train: %w", err)

@@ -104,3 +104,24 @@ func TestShadowGateSeededTieBreak(t *testing.T) {
 		t.Fatalf("64 seeds all broke the tie the same way (%q); hash is suspect", g1.Winner)
 	}
 }
+
+// TestShadowGateZeroEvidence pins that a score resting on no labeled samples
+// never promotes, whatever minSamples says: neither a sample-less challenger
+// nor a challenger over a sample-less champion wins the seat, while one
+// sample on each side is enough at a minSamples of 1 or below.
+func TestShadowGateZeroEvidence(t *testing.T) {
+	for _, minSamples := range []int{-3, 0, 1} {
+		if g := EvaluateShadowGate(1, CandidateScore{Name: "champion"},
+			[]CandidateScore{{Name: "c"}}, 0, minSamples); g.Promote || g.Winner != "" {
+			t.Fatalf("minSamples %d: challenger with no samples promoted: %+v", minSamples, g)
+		}
+		if g := EvaluateShadowGate(1, cs("champion", 0.5, 0.5, 0),
+			[]CandidateScore{cs("c", 0.9, 0.1, 100)}, 0, minSamples); g.Promote {
+			t.Fatalf("minSamples %d: champion with no samples lost its seat: %+v", minSamples, g)
+		}
+		if g := EvaluateShadowGate(1, cs("champion", 0.5, 0.5, 1),
+			[]CandidateScore{cs("c", 0.9, 0.1, 1)}, 0, minSamples); !g.Promote || g.Winner != "c" {
+			t.Fatalf("minSamples %d: one sample each side did not promote: %+v", minSamples, g)
+		}
+	}
+}

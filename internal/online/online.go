@@ -82,7 +82,7 @@ type Config struct {
 	// verdict timeline. Combine with Forecaster for proactive policies.
 	Policy mitigate.Policy
 	// Drift tunes the detector, Gate the promotion gate, Train the retrain
-	// (epochs, LR, Workers — warm starts reuse the incumbent architecture).
+	// (epochs, LR — warm starts reuse the incumbent architecture).
 	Drift DriftConfig
 	Gate  GateConfig
 	Train ml.TrainConfig
@@ -169,9 +169,11 @@ func (d Decision) String() string {
 			s = fmt.Sprintf("w%d none", d.Window)
 		}
 	} else {
+		// The gate records the lead it required (-GateConfig.Margin); the
+		// log shows the configured margin.
 		s = fmt.Sprintf("w%d %s (drift %q, cand %.3f vs inc %.3f on %d held out, margin %g)",
 			d.Window, d.Action, d.Score.Reason,
-			d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Holdout, d.Gate.Margin)
+			d.Gate.CandidateAccuracy, d.Gate.IncumbentAccuracy, d.Gate.Holdout, -d.Gate.Margin)
 		if d.Rollback {
 			s += " [rollback: reload refused]"
 		}
@@ -462,7 +464,7 @@ func (l *Loop) retrain(ctx context.Context) (*core.Framework, GateResult, error)
 	if err != nil {
 		return nil, GateResult{}, fmt.Errorf("online: retrain: %w", err)
 	}
-	gate := evaluateGate(candidate, l.incumbent, holdout, l.cfg.Gate.Margin)
+	gate := holdoutGate(candidate, l.incumbent, holdout, l.cfg.Gate.Margin)
 	l.hGateAcc.Observe(gate.CandidateAccuracy)
 	return candidate, gate, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"quanterference/internal/core"
@@ -238,13 +239,12 @@ func TestLoopRollbackOnRefusedReload(t *testing.T) {
 
 // TestLoopDeterministic pins the continuous-learning determinism contract:
 // same seed + same stream = identical decisions and bit-identical candidate
-// weights, including through the parallel training path.
+// weights, at any GOMAXPROCS (the training loop's shard fan-out limit).
 func TestLoopDeterministic(t *testing.T) {
-	run := func(workers int) []Decision {
+	run := func(procs int) []Decision {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fw := trainedFramework(t, 1)
-		cfg := quickConfig(7)
-		cfg.Train.Workers = workers
-		l, err := NewLoop(&fakePromoter{fw: fw}, cfg)
+		l, err := NewLoop(&fakePromoter{fw: fw}, quickConfig(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestLoopDeterministic(t *testing.T) {
 	}
 	c := run(4)
 	if !reflect.DeepEqual(a, c) {
-		t.Fatalf("Workers=4 diverged from Workers=1:\n%v\n%v", a, c)
+		t.Fatalf("GOMAXPROCS=4 diverged from GOMAXPROCS=1:\n%v\n%v", a, c)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestLoopObservability(t *testing.T) {
 func TestGateMath(t *testing.T) {
 	fw := trainedFramework(t, 1)
 	holdout := syntheticDataset(t, 20, 5, 3)
-	g := evaluateGate(fw, fw, holdout, 0.02)
+	g := holdoutGate(fw, fw, holdout, 0.02)
 	if !g.Promote {
 		t.Fatalf("equal accuracies with positive margin must promote: %+v", g)
 	}
@@ -322,12 +322,15 @@ func TestGateMath(t *testing.T) {
 	if g.Holdout != holdout.Len() {
 		t.Fatalf("holdout size %d, want %d", g.Holdout, holdout.Len())
 	}
-	g = evaluateGate(fw, fw, holdout, -0.5)
+	if g.Margin != -0.02 || g.Winner != "candidate" {
+		t.Fatalf("result %+v, want the required lead -0.02 and the candidate as winner", g)
+	}
+	g = holdoutGate(fw, fw, holdout, -0.5)
 	if g.Promote {
 		t.Fatalf("negative margin with equal accuracies must reject: %+v", g)
 	}
 	empty := dataset.New(holdout.FeatureNames, testTargets, 2)
-	if g := evaluateGate(fw, fw, empty, 0.02); g.Promote {
+	if g := holdoutGate(fw, fw, empty, 0.02); g.Promote {
 		t.Fatalf("empty holdout must reject: %+v", g)
 	}
 }

@@ -301,6 +301,7 @@ func (m slowModel) Probs(vectors [][]float64) []float64 {
 }
 func (m slowModel) LossAndGrad(vectors [][]float64, label int, weight float64) float64 { return 0 }
 func (m slowModel) Params() []nn.Param                                                 { return nil }
+func (m slowModel) Replica() ml.Model                                                  { return m }
 
 // TestBackpressure: with the batcher unable to keep up (slow model, tiny
 // queue), excess admissions fail fast with ErrOverloaded instead of queueing
