@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"quanterference/internal/fault"
@@ -57,9 +58,10 @@ func runFingerprint(res *RunResult) string {
 }
 
 // TestParallelRunsMatchSerial runs every scenario twice through par with 4
-// workers and checks each run's statistics equal a serial run's: the
-// continuation pools belong to each run's own engine, network and file
-// system, so concurrent runs cannot observe one another.
+// workers (GOMAXPROCS 4, so no t.Parallel) and checks each run's statistics
+// equal a serial run's: the continuation pools belong to each run's own
+// engine, network and file system, so concurrent runs cannot observe one
+// another.
 func TestParallelRunsMatchSerial(t *testing.T) {
 	builds := parScenarios()
 	want := make([]string, len(builds))
@@ -71,7 +73,8 @@ func TestParallelRunsMatchSerial(t *testing.T) {
 		want[i] = runFingerprint(res)
 	}
 	got := make([]string, 2*len(builds))
-	par.MapN(len(got), 4, func(i int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	par.Map(len(got), func(i int) {
 		got[i] = runFingerprint(Run(builds[i%len(builds)]()))
 	})
 	for i, fp := range got {

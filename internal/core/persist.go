@@ -52,7 +52,8 @@ func (f *Framework) Save(path string) error {
 
 // LoadFramework restores a framework written by Save. Files without the
 // format header (including pre-versioned ones) or with a version this build
-// does not read return an error wrapping ErrBadFrameworkFile.
+// does not read return an error wrapping ErrBadFrameworkFile (and, for a
+// read failure, the underlying I/O error too).
 func LoadFramework(path string) (*Framework, error) {
 	file, err := os.Open(path)
 	if err != nil {
@@ -61,7 +62,7 @@ func LoadFramework(path string) (*Framework, error) {
 	defer file.Close()
 	var spec frameworkSpec
 	if err := json.NewDecoder(file).Decode(&spec); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadFrameworkFile, path, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrBadFrameworkFile, path, err)
 	}
 	if spec.Format != FrameworkFormat {
 		return nil, fmt.Errorf("%w: %s: format %q, want %q (re-save with this build's Framework.Save)",

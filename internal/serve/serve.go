@@ -59,6 +59,10 @@ var (
 	ErrNoShadow = errors.New("serve: no shadow evaluator attached")
 )
 
+// errNoModelPath reports a Reload with no path on a server started without
+// Config.ModelPath.
+var errNoModelPath = errors.New("serve: no model path to reload from")
+
 // Config tunes the batching service. The zero value is usable: every field
 // defaults to the values quantserve ships with.
 type Config struct {
@@ -275,7 +279,7 @@ func (s *Server) Reload(path string) error {
 		path = s.cfg.ModelPath
 	}
 	if path == "" {
-		return errors.New("serve: no model path to reload from")
+		return errNoModelPath
 	}
 	fw, err := core.LoadFramework(path)
 	if err != nil {
