@@ -337,6 +337,45 @@ func BenchmarkRunTraced(b *testing.B) {
 	b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
 }
 
+// BenchmarkCollectSharedSink measures a small CollectDatasetE whose baseline
+// and six variant runs all report to one WithSink sink, at GOMAXPROCS 2 so
+// two runs are in flight at once. It bounds what concurrent engines pay to
+// share a sink: each run records into its own fork, merged on return, so no
+// per-event atomic is shared between them.
+func BenchmarkCollectSharedSink(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := quant.Scenario{Target: quant.TargetSpec{
+		Gen: io500.New(io500.IorEasyWrite, io500.Params{
+			Dir: "/tgt", Ranks: 2, EasyFileBytes: 512 << 20}),
+		Nodes: []string{"c0"},
+		Ranks: 2,
+	}}
+	var variants []quant.Variant
+	for i := 0; i < 6; i++ {
+		variants = append(variants, quant.Variant{Interference: []quant.InterferenceSpec{{
+			Gen: io500.New(io500.IorEasyRead, io500.Params{
+				Dir: fmt.Sprintf("/bg%d", i), Ranks: 2, EasyFileBytes: 128 << 20}),
+			Nodes: []string{"c1", "c2"},
+			Ranks: 2,
+		}}})
+	}
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := quant.NewSink()
+		ds, err := quant.CollectDatasetE(base, variants, quant.CollectorConfig{},
+			quant.WithSink(sink))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ds.Len() == 0 {
+			b.Fatal("empty dataset")
+		}
+		events += sink.Snapshot().CounterTotal("engine", "events_executed")
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "simevents/op")
+}
+
 // BenchmarkKernelModelTrainStep measures one epoch over 256 samples.
 func BenchmarkKernelModelTrainStep(b *testing.B) {
 	ds := syntheticDataset(256)

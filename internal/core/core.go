@@ -291,16 +291,18 @@ type RunResult struct {
 	// NTargets is the storage-target count of the cluster.
 	NTargets int
 	// Stats is the end-of-run observability snapshot: engine, disk,
-	// blockqueue, netsim, OST, MDS, and client metrics. Never empty — when
-	// no WithSink option is given the run instruments a private sink.
+	// blockqueue, netsim, OST, MDS, and client metrics. Never empty. Under
+	// WithSink it is the shared sink's cumulative snapshot taken after this
+	// run's metrics were merged into it; otherwise it is the run's own.
 	Stats *obs.Snapshot
 }
 
 // RunE executes a scenario on a fresh cluster. It validates the scenario up
 // front, returning an error wrapping ErrInvalidScenario or
 // ErrInvalidTopology instead of panicking mid-run. The cluster is
-// instrumented on the WithSink option's sink, or on a private one, so
-// RunResult.Stats is always populated.
+// instrumented on a private sink whose metrics are merged into the WithSink
+// option's sink when the run returns, so RunResult.Stats is always
+// populated.
 func RunE(s Scenario, opts ...Option) (*RunResult, error) {
 	return RunCtx(context.Background(), s, opts...)
 }
@@ -311,7 +313,7 @@ func RunE(s Scenario, opts ...Option) (*RunResult, error) {
 // is unrelated to wall time — a context deadline bounds how long the caller
 // waits, not how long the simulated scenario lasts. An uncancelled RunCtx is
 // identical to RunE.
-func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error) {
+func RunCtx(ctx context.Context, s Scenario, opts ...Option) (res *RunResult, err error) {
 	o := applyOptions(opts)
 	if o.hardware != nil && s.Hardware.IsZero() {
 		s.Hardware = *o.hardware
@@ -320,10 +322,27 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	sink := o.sink
-	if sink == nil {
-		sink = obs.New()
-	}
+	// The run records into its own shard, so concurrent runs sharing the
+	// WithSink sink never contend on its atomics per event. The shard is
+	// folded into the shared sink once, on every way out of the run
+	// (cancellation, fault-injection errors and panics included).
+	shard := o.sink.Fork()
+	defer func() {
+		o.sink.Merge(shard)
+		if res != nil {
+			stats := o.sink
+			if stats == nil {
+				stats = shard
+			}
+			res.Stats = stats.Snapshot()
+		}
+	}()
+	return simulate(ctx, s, shard)
+}
+
+// simulate runs a defaulted, validated scenario on a fresh cluster
+// instrumented on sink. RunResult.Stats is left for the caller to fill.
+func simulate(ctx context.Context, s Scenario, sink *obs.Sink) (*RunResult, error) {
 	cl := NewClusterNet(s.Topology, s.FSConfig,
 		netsim.Config{Latency: s.Hardware.Net.Latency}).Instrument(sink)
 	if len(s.Faults) > 0 {
@@ -428,6 +447,5 @@ func RunCtx(ctx context.Context, s Scenario, opts ...Option) (*RunResult, error)
 		v, _ := sm.Window(idx)
 		res.ServerWindows[idx] = v
 	}
-	res.Stats = sink.Snapshot()
 	return res, nil
 }

@@ -35,11 +35,15 @@ func applyOptions(opts []Option) options {
 	return o
 }
 
-// WithSink attaches an observability sink: every cluster the call builds is
-// instrumented on it, and RunResult.Stats snapshots it. When runs fan out
-// in parallel (CollectDatasetE variants), the shared sink aggregates across
-// them; all sink mutation is atomic, so this is race-free. Without this
-// option each run gets a private sink, so Stats is still populated.
+// WithSink attaches an observability sink that aggregates every run the
+// call makes. Each run records into its own Fork of the sink and merges it
+// back once, when the run returns (on error and cancellation too): a run's
+// metrics reach the shared sink then, not while it runs, and its spans go
+// straight to the sink's trace buffer. RunResult.Stats is the sink's
+// cumulative snapshot after that run's merge. When runs fan out in parallel
+// (CollectDatasetE variants) they therefore never contend on the shared
+// metrics per event. Without this option each run gets a private sink, so
+// Stats is still populated.
 func WithSink(s *obs.Sink) Option {
 	return func(o *options) { o.sink = s }
 }

@@ -13,8 +13,11 @@
 //     Instrument time; Inc/Add/Set/Observe touch only pre-allocated atomics.
 //     Trace spans append fixed-size structs to a bounded buffer.
 //  3. Safe under concurrent simulations. Experiment drivers fan whole runs
-//     out across cores (internal/par); a single Sink may be shared by many
-//     engines, so all mutation is atomic or mutex-guarded.
+//     out across cores (internal/par). A single Sink may still be shared by
+//     many engines, so all mutation is atomic or mutex-guarded; but
+//     core.RunE instruments each run on a Fork of the shared sink and
+//     Merges it back once when the run returns, so concurrently running
+//     engines never contend on one metric's cache line per event.
 //
 // The metric names threaded through the simulator deliberately mirror the
 // paper's monitoring substrate: the blockqueue/disk counters are the
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -142,6 +146,10 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -235,9 +243,12 @@ func (s *Sink) Counter(component, instance, name string) *Counter {
 	if s == nil {
 		return nil
 	}
-	k := Key{component, instance, name}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.counterLocked(Key{component, instance, name})
+}
+
+func (s *Sink) counterLocked(k Key) *Counter {
 	c, ok := s.counters[k]
 	if !ok {
 		c = &Counter{}
@@ -251,9 +262,12 @@ func (s *Sink) Gauge(component, instance, name string) *Gauge {
 	if s == nil {
 		return nil
 	}
-	k := Key{component, instance, name}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.gaugeLocked(Key{component, instance, name})
+}
+
+func (s *Sink) gaugeLocked(k Key) *Gauge {
 	g, ok := s.gauges[k]
 	if !ok {
 		g = &Gauge{}
@@ -275,9 +289,12 @@ func (s *Sink) Histogram(component, instance, name string, bounds []float64) *Hi
 	if !sort.Float64sAreSorted(bounds) {
 		panic("obs: histogram bounds must be sorted")
 	}
-	k := Key{component, instance, name}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.histogramLocked(Key{component, instance, name}, bounds)
+}
+
+func (s *Sink) histogramLocked(k Key, bounds []float64) *Histogram {
 	e, ok := s.histograms[k]
 	if !ok {
 		b := append([]float64(nil), bounds...)
@@ -288,6 +305,63 @@ func (s *Sink) Histogram(component, instance, name string, bounds []float64) *Hi
 		s.histograms[k] = e
 	}
 	return e.h
+}
+
+// Fork returns a sink with fresh, empty metrics that shares s's trace
+// buffer, so spans recorded on the fork land in s's exported trace. A
+// simulation run records into its own fork, and the caller folds it back
+// with Merge when the run returns. On a nil sink Fork returns New().
+func (s *Sink) Fork() *Sink {
+	if s == nil {
+		return New()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Size the maps to the parent's: a run's fork usually registers the
+	// same keys the earlier runs merged in, so it never regrows them.
+	return &Sink{
+		counters:   make(map[Key]*Counter, len(s.counters)),
+		gauges:     make(map[Key]*Gauge, len(s.gauges)),
+		histograms: make(map[Key]*histEntry, len(s.histograms)),
+		trace:      s.trace,
+	}
+}
+
+// Merge folds child's metrics into s: counters add, gauges keep the
+// maximum (every simulator gauge is a max-gauge), and histograms add per
+// bucket, count and sum. Every key of child is registered in s, even at
+// zero. A histogram registered in both with different bounds panics. Spans
+// are not copied: a fork already records into its parent's trace buffer.
+// No-op when s or child is nil; merging a sink into itself panics.
+func (s *Sink) Merge(child *Sink) {
+	if s == nil || child == nil {
+		return
+	}
+	if s == child {
+		panic("obs: merge of a sink into itself")
+	}
+	child.mu.Lock()
+	defer child.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, c := range child.counters {
+		s.counterLocked(k).Add(c.Value())
+	}
+	for k, g := range child.gauges {
+		s.gaugeLocked(k).Max(g.Value())
+	}
+	for k, ce := range child.histograms {
+		h := s.histogramLocked(k, ce.bounds)
+		if !slices.Equal(h.bounds, ce.bounds) {
+			panic(fmt.Sprintf("obs: merge of histogram %s with bounds %v into bounds %v",
+				k, ce.bounds, h.bounds))
+		}
+		for i := range ce.h.counts {
+			h.counts[i].Add(ce.h.counts[i].Load())
+		}
+		h.count.Add(ce.h.Count())
+		h.addSum(ce.h.Sum())
+	}
 }
 
 // CounterValue reports a counter-metric snapshot.

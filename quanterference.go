@@ -212,8 +212,9 @@ func ProfileByName(name string) (HardwareProfile, error) { return hw.ByName(name
 //	WithCollectReport    CollectDatasetE/Ctx — per-variant completion accounting
 //	WithWarmStart        TrainFrameworkE/Ctx — retrain from an incumbent framework
 
-// WithSink attaches an observability sink to every cluster the call builds;
-// RunResult.Stats snapshots it, and parallel collection runs aggregate on it.
+// WithSink aggregates every run the call makes on one observability sink.
+// Each run records into a private fork merged into the sink when the run
+// returns; RunResult.Stats is the sink's snapshot after that merge.
 func WithSink(s *Sink) Option { return core.WithSink(s) }
 
 // WithHardware runs scenarios on the given hardware profile when the
@@ -248,8 +249,8 @@ func NewCluster(topo Topology, cfg Config) *Cluster { return core.NewCluster(top
 
 // RunE executes a scenario on a fresh cluster, returning typed errors
 // (ErrInvalidScenario, ErrInvalidTopology) instead of panicking. The
-// cluster is instrumented on WithSink's sink (or a private one), so
-// RunResult.Stats is always populated.
+// cluster is instrumented on a private sink, merged into WithSink's sink
+// when the run returns, so RunResult.Stats is always populated.
 func RunE(s Scenario, opts ...Option) (*RunResult, error) { return core.RunE(s, opts...) }
 
 // RunCtx is RunE with cancellation: the simulation loop observes ctx at
