@@ -41,14 +41,18 @@ docs-check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docscheck .
 
-# fuzz-smoke runs each HTTP body fuzz target in internal/serve for a few
-# seconds on top of its committed seed corpus (testdata/fuzz): the predict,
-# forecast and reload decoders must answer 200/400/413/503 (404 for a missing
-# reload path), never panic, and never return a malformed 200.
+# fuzz-smoke runs each fuzz target for a few seconds on top of its committed
+# seed corpus (testdata/fuzz). The HTTP body targets in internal/serve: the
+# predict, forecast and reload decoders must answer 200/400/413/503 (404 for
+# a missing reload path), never panic, and never return a malformed 200. The
+# file parsers: a dataset Decode accepts must be safe to tally and copy, and
+# a trace Read accepts must round-trip through Writer unchanged.
 fuzz-smoke:
 	@for f in FuzzPredictBody FuzzForecastBody FuzzReloadBody; do \
 		$(GO) test ./internal/serve -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s || exit 1; \
 	done
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	@echo "fuzz-smoke: OK"
 
 # serve-smoke boots quantserve on a synthetic model, exercises the /v1/ API

@@ -7,7 +7,9 @@ package dataset
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -43,20 +45,34 @@ func New(featureNames []string, nTargets, classes int) *Dataset {
 	return &Dataset{FeatureNames: featureNames, NTargets: nTargets, Classes: classes}
 }
 
-// Add validates and appends a sample.
+// Add validates and appends a sample; a sample that does not fit the
+// schema panics.
 func (d *Dataset) Add(s *Sample) {
-	if len(s.Vectors) != d.NTargets {
-		panic(fmt.Sprintf("dataset: sample has %d targets, want %d", len(s.Vectors), d.NTargets))
+	if err := d.checkSample(s); err != nil {
+		panic("dataset: " + err.Error())
 	}
-	for _, v := range s.Vectors {
+	d.Samples = append(d.Samples, s)
+}
+
+// checkSample reports why s does not fit the schema: it is nil, carries
+// other than NTargets vectors, has a vector that is not len(FeatureNames)
+// wide, or has a label outside [0, Classes).
+func (d *Dataset) checkSample(s *Sample) error {
+	if s == nil {
+		return errors.New("null sample")
+	}
+	if len(s.Vectors) != d.NTargets {
+		return fmt.Errorf("%d vectors, want %d targets", len(s.Vectors), d.NTargets)
+	}
+	for t, v := range s.Vectors {
 		if len(v) != len(d.FeatureNames) {
-			panic(fmt.Sprintf("dataset: vector width %d, want %d", len(v), len(d.FeatureNames)))
+			return fmt.Errorf("target %d: vector width %d, want %d features", t, len(v), len(d.FeatureNames))
 		}
 	}
 	if s.Label < 0 || s.Label >= d.Classes {
-		panic(fmt.Sprintf("dataset: label %d out of %d classes", s.Label, d.Classes))
+		return fmt.Errorf("label %d outside [0, %d)", s.Label, d.Classes)
 	}
-	d.Samples = append(d.Samples, s)
+	return nil
 }
 
 // Len returns the sample count.
@@ -128,16 +144,46 @@ func (d *Dataset) Save(path string) error {
 	return enc.Encode(d)
 }
 
-// Load reads a dataset written by Save.
+// maxClasses bounds a decoded dataset's class count, so a hostile header
+// cannot make ClassCounts allocate gigabytes. Degradation bins number a
+// handful (the paper uses two and three).
+const maxClasses = 1 << 10
+
+// ErrInvalidDataset reports a decoded dataset whose shape does not hold
+// together: a negative target count, a class count outside [0, 1024], a
+// null sample, a sample with the wrong number of vectors or a vector of the
+// wrong width, or a label outside [0, Classes). Match with errors.Is.
+var ErrInvalidDataset = errors.New("dataset: invalid dataset")
+
+// Load reads a dataset written by Save; see Decode.
 func Load(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return Decode(f)
+}
+
+// Decode reads one JSON dataset, as Save writes it, and validates its
+// shape: every sample carries NTargets vectors of len(FeatureNames) values
+// and a label in [0, Classes). A dataset that fails returns an error
+// wrapping ErrInvalidDataset that names the first offending sample, so no
+// accepted dataset can make ClassCounts, Copy or training index out of
+// range. Every decoded value is finite: JSON has no NaN or infinity, and a
+// number beyond float64 range is a decode error.
+func Decode(r io.Reader) (*Dataset, error) {
 	var d Dataset
-	if err := json.NewDecoder(f).Decode(&d); err != nil {
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
 		return nil, err
+	}
+	if d.NTargets < 0 || d.Classes < 0 || d.Classes > maxClasses {
+		return nil, fmt.Errorf("%w: %d targets, %d classes", ErrInvalidDataset, d.NTargets, d.Classes)
+	}
+	for i, s := range d.Samples {
+		if err := d.checkSample(s); err != nil {
+			return nil, fmt.Errorf("%w: sample %d: %v", ErrInvalidDataset, i, err)
+		}
 	}
 	return &d, nil
 }
