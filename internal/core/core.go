@@ -63,6 +63,17 @@ func (cl *Cluster) Instrument(s *obs.Sink) *Cluster {
 	return cl
 }
 
+// BurstBuffers returns a router that fronts each client node with its own
+// burst buffer sized by cfg (0 fields take the internal/bb defaults). Route a
+// runner's writes through it with Runner.WriteViaFor = router.WriteVia.
+func (cl *Cluster) BurstBuffers(cfg hw.BurstBufferConfig) *bb.Router {
+	return bb.NewRouter(cl.Eng, cl.FS, bb.Config{
+		Capacity:         cfg.CapacityBytes,
+		IngestBps:        cfg.IngestBps,
+		DrainConcurrency: cfg.DrainConcurrency,
+	})
+}
+
 // TargetSpec places the measured application.
 type TargetSpec struct {
 	Gen   workload.Generator
@@ -362,24 +373,11 @@ func simulate(ctx context.Context, s Scenario, sink *obs.Sink) (*RunResult, erro
 	res := &RunResult{NTargets: cl.FS.NumTargets()}
 
 	// Under a burst-buffer profile every compute node writes through its own
-	// node-local buffer. Buffers are created lazily per node (the sim is
-	// single-threaded and deterministic, so lazy creation is order-stable)
-	// and shared by all ranks — target or interference — on that node.
+	// node-local buffer, shared by all ranks — target or interference — on
+	// that node.
 	var bbRoute func(node string) func(h *lustre.Handle, off, length int64, done func())
 	if s.Hardware.BB.Enabled {
-		bufs := make(map[string]*bb.Buffer)
-		bbRoute = func(node string) func(h *lustre.Handle, off, length int64, done func()) {
-			buf, ok := bufs[node]
-			if !ok {
-				buf = bb.Attach(cl.Eng, cl.FS.Client(node), bb.Config{
-					Capacity:         s.Hardware.BB.CapacityBytes,
-					IngestBps:        s.Hardware.BB.IngestBps,
-					DrainConcurrency: s.Hardware.BB.DrainConcurrency,
-				})
-				bufs[node] = buf
-			}
-			return buf.Write
-		}
+		bbRoute = cl.BurstBuffers(s.Hardware.BB).WriteVia
 	}
 
 	var interfRunners []*workload.Runner

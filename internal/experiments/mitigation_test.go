@@ -23,26 +23,30 @@ func tinyMitigationConfig() MitigationConfig {
 
 // tinyMitigationStudy caches one study run for the whole package: the shape
 // and determinism tests both inspect it, and only the determinism test pays
-// for a second, fresh run to compare against. A full study is ~40 simulated
-// scenarios plus training, which matters under -race.
+// for a second, fresh run to compare against. A full study is 57 simulated
+// runs (per fault, one target-alone reference plus 3 mixes × 6 policies)
+// plus training, which matters under -race.
 var tinyMitigationStudy = sync.OnceValue(func() *MitigationResult {
 	return MitigationStudy(tinyMitigationConfig())
 })
 
 // TestMitigationStudyShape runs the matrix at smoke scale and checks its
-// structure and the study's acceptance bar: every fault×mix cell has all
-// four policy rows, the policies actually engage somewhere, and the
-// forecast-driven proactive policy achieves at least the reactive policy's
-// slowdown-avoided on at least one cell.
+// structure and the study's acceptance bars: every fault×mix cell has all
+// six policy rows; the reactive policy engages and lowers the slowdown
+// somewhere, and costs the background workloads less than the always-on
+// throttle somewhere; the burst buffer insulates the target somewhere and
+// always drains after the target completes; the "none" and "burst-buffer"
+// rows never actuate; and the forecast-driven proactive policy achieves at
+// least the reactive policy's slowdown-avoided on at least one cell.
 func TestMitigationStudyShape(t *testing.T) {
 	r := tinyMitigationStudy()
-	if len(r.Faults) != 3 || len(r.Mixes) != 3 || len(r.Policies) != 4 {
+	if len(r.Faults) != 3 || len(r.Mixes) != 3 || len(r.Policies) != 6 {
 		t.Fatalf("matrix shape %v × %v × %v", r.Faults, r.Mixes, r.Policies)
 	}
 	if want := len(r.Faults) * len(r.Mixes) * len(r.Policies); len(r.Cells) != want {
 		t.Fatalf("cells %d, want %d", len(r.Cells), want)
 	}
-	engagedSomewhere := false
+	engagedSomewhere, reactiveHelps, reactiveCheaper, bufferHelps := false, false, false, false
 	for _, f := range r.Faults {
 		for _, m := range r.Mixes {
 			for _, p := range r.Policies {
@@ -56,24 +60,57 @@ func TestMitigationStudyShape(t *testing.T) {
 				if c.Slowdown < 0.99 {
 					t.Fatalf("cell %s×%s×%s slowdown %.3f < 1 — alone reference suspect", f, m, p, c.Slowdown)
 				}
-				if p == "none" && (c.Engagements != 0 || c.Avoided != 0) {
-					t.Fatalf("no-action cell %s×%s actuated: %+v", f, m, c)
+				if p == "none" && c.Avoided != 0 {
+					t.Fatalf("no-action cell %s×%s avoided %+.3f", f, m, c.Avoided)
+				}
+				if (p == "none" || p == "burst-buffer") &&
+					(c.Engagements != 0 || c.ThrottledWindows != 0 || c.DeferredMB != 0) {
+					t.Fatalf("%s cell %s×%s actuated: %+v", p, f, m, c)
+				}
+				if p == "burst-buffer" {
+					if c.DrainDuration <= c.TargetDuration {
+						t.Fatalf("burst-buffer cell %s×%s drained at %v, not after the target's %v",
+							f, m, c.DrainDuration, c.TargetDuration)
+					}
+				} else if c.DrainDuration != 0 {
+					t.Fatalf("%s cell %s×%s has drain %v without a buffer", p, f, m, c.DrainDuration)
 				}
 				if c.Engagements > 0 {
 					engagedSomewhere = true
 				}
+			}
+			none := r.Cell(f, m, "none")
+			rea, always, buf := r.Cell(f, m, "reactive"), r.Cell(f, m, "always"), r.Cell(f, m, "burst-buffer")
+			if rea.Engagements > 0 && rea.Slowdown < none.Slowdown {
+				reactiveHelps = true
+			}
+			if rea.InterferenceMB > always.InterferenceMB {
+				reactiveCheaper = true
+			}
+			if buf.Slowdown < none.Slowdown {
+				bufferHelps = true
 			}
 		}
 	}
 	if !engagedSomewhere {
 		t.Fatal("no policy engaged on any cell — controller wiring dead")
 	}
+	if !reactiveHelps {
+		t.Fatal("reactive policy never engaged and lowered the slowdown on any cell")
+	}
+	if !reactiveCheaper {
+		t.Fatal("reactive policy never kept more interference volume than the always-on throttle")
+	}
+	if !bufferHelps {
+		t.Fatal("burst buffer never lowered the target's slowdown on any cell")
+	}
 	if !r.ProactiveMatchesReactive() {
 		t.Fatal("proactive policy never matched reactive slowdown-avoided on any cell")
 	}
 
 	out := r.Render()
-	for _, want := range []string{"Mitigation policy", "none", "reactive", "proactive", "defer", "avoided"} {
+	for _, want := range []string{"Mitigation policy", "none", "reactive", "proactive", "defer",
+		"always", "burst-buffer", "avoided", "drain"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
@@ -90,7 +127,7 @@ func TestMitigationDeterministic(t *testing.T) {
 	if csv1 != csv2 {
 		t.Fatalf("same-seed runs diverged:\n--- run 1\n%s\n--- run 2\n%s", csv1, csv2)
 	}
-	if !strings.HasPrefix(csv1, "fault,mix,policy,alone_s,target_s,slowdown,avoided,interference_mb,cost_pct,engagements,windows_throttled,deferred_mb\n") {
+	if !strings.HasPrefix(csv1, "fault,mix,policy,alone_s,target_s,slowdown,avoided,interference_mb,cost_pct,engagements,windows_throttled,deferred_mb,drain_s\n") {
 		t.Fatalf("csv header wrong:\n%s", csv1)
 	}
 
