@@ -157,10 +157,10 @@ func weightsFingerprint(m ml.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenSerialWeights pins the training loop's arithmetic: the sharded
-// gradient schedule and the scratch-buffer scheme must keep yielding these
-// exact weights and loss, at any GOMAXPROCS.
-func TestGoldenSerialWeights(t *testing.T) {
+// TestGoldenTrainWeights pins the training loop's arithmetic: the sharded
+// gradient schedule, its fixed-order reduction and the scratch-buffer scheme
+// must keep yielding these exact weights and loss, at any GOMAXPROCS.
+func TestGoldenTrainWeights(t *testing.T) {
 	ds := syntheticDataset(96)
 	m := ml.NewKernelModel(ml.KernelConfig{NTargets: 7, NFeat: 34, Classes: 2, Seed: 11})
 	loss := ml.Train(m, ds, ml.TrainConfig{Epochs: 4, Seed: 23, BalanceClasses: true})

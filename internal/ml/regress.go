@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 
 	"quanterference/internal/dataset"
@@ -18,7 +19,6 @@ type KernelRegressor struct {
 	Head   *nn.Sequential
 
 	nTargets int
-	nFeat    int
 }
 
 // NewKernelRegressor sizes the regressor like NewKernelModel.
@@ -28,7 +28,6 @@ func NewKernelRegressor(nTargets, nFeat int, seed int64) *KernelRegressor {
 		Kernel:   nn.MLP(rng, nFeat, 32, 16, 1),
 		Head:     nn.MLP(rng, nTargets, 16, 1),
 		nTargets: nTargets,
-		nFeat:    nFeat,
 	}
 }
 
@@ -71,40 +70,25 @@ func Log2Degradation(deg float64) float64 {
 	return math.Log2(deg)
 }
 
-// TrainRegressor fits the regressor with Adam and MSE on log2(degradation).
-// It returns the final epoch's mean squared error.
+// Replica returns a weight-sharing copy with private gradients and layer
+// caches, for the sharded training loop.
+func (m *KernelRegressor) Replica() *KernelRegressor {
+	return &KernelRegressor{Kernel: m.Kernel.Replica(), Head: m.Head.Replica(), nTargets: m.nTargets}
+}
+
+// TrainRegressor fits the regressor with Adam and MSE on log2(degradation)
+// on the same sharded loop as Train, so its weights are bit-identical for
+// any GOMAXPROCS. Under cfg.BalanceClasses each squared error is weighted
+// by its sample's class weight. It returns the final epoch's mean squared
+// error.
 func TrainRegressor(m *KernelRegressor, train *dataset.Dataset, cfg TrainConfig) float64 {
-	cfg.applyDefaults()
-	if train.Len() == 0 {
-		panic("ml: empty training set")
-	}
-	opt := nn.NewAdam(cfg.LR)
-	rng := sim.NewRNG(cfg.Seed ^ 0x9e57)
-	var last float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := rng.Perm(train.Len())
-		var sse float64
-		for start := 0; start < len(perm); start += cfg.Batch {
-			end := start + cfg.Batch
-			if end > len(perm) {
-				end = len(perm)
-			}
-			for _, idx := range perm[start:end] {
-				s := train.Samples[idx]
-				y := m.forward(s.Vectors)
-				target := Log2Degradation(s.Degradation)
-				diff := y - target
-				sse += diff * diff
-				m.backward(2 * diff)
-			}
-			opt.Step(m.Params(), 1/float64(end-start))
-		}
-		last = sse / float64(train.Len())
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, last)
-		}
-	}
-	return last
+	mse, _ := trainLoop(context.Background(), m, train, cfg,
+		func(rep *KernelRegressor, s *dataset.Sample, w float64) float64 {
+			diff := rep.forward(s.Vectors) - Log2Degradation(s.Degradation)
+			rep.backward(2 * w * diff)
+			return w * diff * diff
+		})
+	return mse
 }
 
 // RegressorEval summarizes a regressor on held-out data.

@@ -84,6 +84,20 @@ func Train(m Model, train *dataset.Dataset, cfg TrainConfig) float64 {
 // never perturbs the RNG stream or the gradient arithmetic, so an
 // uncancelled TrainCtx is bit-identical to Train.
 func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainConfig) (float64, error) {
+	return trainLoop(ctx, m, train, cfg, func(rep Model, s *dataset.Sample, w float64) float64 {
+		return rep.LossAndGrad(s.Vectors, s.Label, w)
+	})
+}
+
+// trainLoop is the one training loop behind every model: the epoch,
+// shard and tree-reduce schedule TrainCtx documents, generic over the
+// replica type and the per-sample loss. loss accumulates rep's gradients
+// for one sample whose class weight is w and returns its weighted loss.
+func trainLoop[L interface {
+	Params() []nn.Param
+	Replica() L
+}](ctx context.Context, m L, train *dataset.Dataset, cfg TrainConfig,
+	loss func(rep L, s *dataset.Sample, w float64) float64) (float64, error) {
 	cfg.applyDefaults()
 	if train.Len() == 0 {
 		panic("ml: empty training set")
@@ -92,7 +106,7 @@ func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainCon
 	opt := nn.NewAdam(cfg.LR)
 	rng := sim.NewRNG(cfg.Seed ^ 0x7a11)
 	mainParams := m.Params()
-	replicas := make([]Model, gradShards)
+	replicas := make([]L, gradShards)
 	repParams := make([][]nn.Param, gradShards)
 	for i := range replicas {
 		replicas[i] = m.Replica()
@@ -121,12 +135,12 @@ func TrainCtx(ctx context.Context, m Model, train *dataset.Dataset, cfg TrainCon
 			par.Map(ns, func(s int) {
 				lo, hi := shardBounds(len(batch), ns, s)
 				rep := replicas[s]
-				var loss float64
+				var sum float64
 				for _, idx := range batch[lo:hi] {
 					smp := train.Samples[idx]
-					loss += rep.LossAndGrad(smp.Vectors, smp.Label, weights[smp.Label])
+					sum += loss(rep, smp, weights[smp.Label])
 				}
-				losses[s] = loss
+				losses[s] = sum
 			})
 			// Fixed-order pairwise tree reduction over shards 0..ns-1.
 			for stride := 1; stride < ns; stride *= 2 {

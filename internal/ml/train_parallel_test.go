@@ -26,14 +26,15 @@ func parallelTestDataset(n, nTargets, nFeat, classes int) *dataset.Dataset {
 			}
 			vecs[t] = v
 		}
-		ds.Add(&dataset.Sample{Label: i % classes, Degradation: 1, Vectors: vecs})
+		// Degradation varies so the regressor has a target to fit.
+		ds.Add(&dataset.Sample{Label: i % classes, Degradation: 1 + float64(i%7)/2, Vectors: vecs})
 	}
 	return ds
 }
 
-func weightBits(m Model) []uint64 {
+func paramBits(params []nn.Param) []uint64 {
 	var out []uint64
-	for _, p := range m.Params() {
+	for _, p := range params {
 		for _, w := range p.W {
 			out = append(out, math.Float64bits(w))
 		}
@@ -49,33 +50,52 @@ func withGOMAXPROCS(n int, fn func()) {
 	fn()
 }
 
+// trainer is a freshly built model's parameters plus the call that trains
+// it, so classifiers and the regressor share one determinism check.
+type trainer struct {
+	params []nn.Param
+	train  func(ds *dataset.Dataset, cfg TrainConfig) float64
+}
+
+func classifier(m Model) trainer {
+	return trainer{m.Params(), func(ds *dataset.Dataset, cfg TrainConfig) float64 {
+		return Train(m, ds, cfg)
+	}}
+}
+
 // trainWithProcs trains a fresh model of the given constructor at the given
 // GOMAXPROCS and returns the final weights' bit patterns and loss.
-func trainWithProcs(mk func() Model, ds *dataset.Dataset, procs int) ([]uint64, uint64) {
-	m := mk()
+func trainWithProcs(mk func() trainer, ds *dataset.Dataset, procs int) ([]uint64, uint64) {
+	tr := mk()
 	var loss float64
 	withGOMAXPROCS(procs, func() {
-		loss = Train(m, ds, TrainConfig{Epochs: 3, Batch: 20, Seed: 99, BalanceClasses: true})
+		loss = tr.train(ds, TrainConfig{Epochs: 3, Batch: 20, Seed: 99, BalanceClasses: true})
 	})
-	return weightBits(m), math.Float64bits(loss)
+	return paramBits(tr.params), math.Float64bits(loss)
 }
 
 // TestParallelTrainingDeterministic is the load-bearing determinism
 // regression: the sharded trainer must produce bit-identical weights and
 // losses at every GOMAXPROCS, including the degenerate single-proc schedule
 // that runs every shard on the calling goroutine, for every model
-// architecture.
+// architecture and for the regressor's MSE loss.
 func TestParallelTrainingDeterministic(t *testing.T) {
 	ds := parallelTestDataset(110, 5, 9, 3) // odd sizes exercise ragged shards
-	models := map[string]func() Model{
-		"kernel": func() Model {
-			return NewKernelModel(KernelConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7})
+	models := map[string]func() trainer{
+		"kernel": func() trainer {
+			return classifier(NewKernelModel(KernelConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7}))
 		},
-		"flat": func() Model {
-			return NewFlatModel(5, 9, 3, nil, 7)
+		"flat": func() trainer {
+			return classifier(NewFlatModel(5, 9, 3, nil, 7))
 		},
-		"attention": func() Model {
-			return NewAttentionModel(AttentionConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7})
+		"attention": func() trainer {
+			return classifier(NewAttentionModel(AttentionConfig{NTargets: 5, NFeat: 9, Classes: 3, Seed: 7}))
+		},
+		"regressor": func() trainer {
+			m := NewKernelRegressor(5, 9, 7)
+			return trainer{m.Params(), func(ds *dataset.Dataset, cfg TrainConfig) float64 {
+				return TrainRegressor(m, ds, cfg)
+			}}
 		},
 	}
 	for name, mk := range models {
