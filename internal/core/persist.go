@@ -51,8 +51,11 @@ func (f *Framework) Save(path string) error {
 }
 
 // LoadFramework restores a framework written by Save. Files without the
-// format header (including pre-versioned ones) or with a version this build
-// does not read return an error wrapping ErrBadFrameworkFile (and, for a
+// format header (including pre-versioned ones), with a version this build
+// does not read, or whose contents cannot make a servable framework (a null
+// model or scaler, dimensions the weights cannot fill, a scaler width other
+// than the model's feature count, a threshold count that does not match
+// the class count) return an error wrapping ErrBadFrameworkFile (and, for a
 // read failure, the underlying I/O error too).
 func LoadFramework(path string) (*Framework, error) {
 	file, err := os.Open(path)
@@ -74,7 +77,15 @@ func LoadFramework(path string) (*Framework, error) {
 	}
 	model, err := ml.Restore(spec.Model)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s: %w", ErrBadFrameworkFile, path, err)
+	}
+	if spec.Scaler == nil || len(spec.Scaler.Mean) != spec.Model.NFeat || len(spec.Scaler.Std) != spec.Model.NFeat {
+		return nil, fmt.Errorf("%w: %s: scaler does not have the model's %d features",
+			ErrBadFrameworkFile, path, spec.Model.NFeat)
+	}
+	if len(spec.Thresholds)+1 != spec.Model.Classes {
+		return nil, fmt.Errorf("%w: %s: %d thresholds for %d classes",
+			ErrBadFrameworkFile, path, len(spec.Thresholds), spec.Model.Classes)
 	}
 	return &Framework{
 		Bins:   label.Bins{Thresholds: spec.Thresholds},

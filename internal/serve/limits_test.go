@@ -77,6 +77,13 @@ func TestReloadStatus(t *testing.T) {
 	if err := os.WriteFile(notFramework, []byte("{bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A well-formed framework file with a null model used to panic in
+	// core.LoadFramework and drop the connection.
+	nullModel := filepath.Join(dir, "null-model.json")
+	if err := os.WriteFile(nullModel, []byte(`{"format":"quanterference.framework","version":1,`+
+		`"model":null,"scaler":{"mean":[0],"std":[1]},"thresholds":[2]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		path   string
 		status int
@@ -84,6 +91,7 @@ func TestReloadStatus(t *testing.T) {
 		{filepath.Join(dir, "missing.json"), http.StatusNotFound},
 		{dir, http.StatusBadRequest},
 		{notFramework, http.StatusBadRequest},
+		{nullModel, http.StatusBadRequest},
 		{"", http.StatusInternalServerError}, // no Config.ModelPath to fall back on
 	} {
 		body, err := json.Marshal(reloadRequest{Path: tc.path})
