@@ -132,6 +132,10 @@ func TestRunEWithSinkAggregates(t *testing.T) {
 	}
 	a := first.Stats.CounterTotal("engine", "events_executed")
 	b := second.Stats.CounterTotal("engine", "events_executed")
+	// A sink that received nothing would pass the doubling check below.
+	if a == 0 {
+		t.Fatal("shared sink: first snapshot counted no executed events")
+	}
 	// Identical deterministic runs on one shared sink: the second snapshot
 	// holds both runs' events.
 	if b != 2*a {
