@@ -38,7 +38,7 @@ var order = []struct{ id, title string }{
 	{"ablation_window", "Ablation — window size"},
 	{"extension_architectures", "Extension — self-attention architecture"},
 	{"extension_regression", "Extension — exact-slowdown regression"},
-	{"casestudy", "Case study — prediction-driven mitigation"},
+	{"mitigation", "Mitigation — policy × fault × workload study"},
 }
 
 var pageTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
