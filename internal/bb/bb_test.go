@@ -98,7 +98,7 @@ func TestRunnerWriteViaRoutesThroughBuffer(t *testing.T) {
 	finished := false
 	r := &workload.Runner{
 		FS: fs, Name: "bbrun", Nodes: []string{"c0"}, Ranks: 1, Gen: g,
-		WriteVia: b.WriteFn(),
+		WriteVia: b.Write,
 		OnDone:   func() { finished = true },
 	}
 	r.Start()
@@ -135,7 +135,7 @@ func TestBurstBufferInsulatesFromInterference(t *testing.T) {
 		}
 		if useBB {
 			b := Attach(eng, fs.Client("c0"), Config{Capacity: 64 << 20})
-			r.WriteVia = b.WriteFn()
+			r.WriteVia = b.Write
 		}
 		r.Start()
 		eng.RunUntil(sim.Seconds(300))
